@@ -8,7 +8,6 @@ from .catalog import (
     enum_cyclic_gram,
     enum_nonrepeating,
     enum_orthogonal,
-    shift_matrix,
 )
 from .equiv import (
     MODE_CONJUGATION,
@@ -29,8 +28,8 @@ from .errors import (
     ShapeError,
     UnsupportedSize,
 )
-from .frames import Frame, analysis_matrix, gram, is_orthogonal, is_parseval, reconstruct
-from .gf2 import AffineSolutionSet, BinMatrix, BinVector, dot, mat_mul, parity, rank, solve
+from .frames import Frame, gram, is_orthogonal, is_parseval, reconstruct
+from .gf2 import AffineSolutionSet, BinMatrix, BinVector, solve
 from .gramfactor import (
     Factorization,
     GramCandidate,
@@ -71,9 +70,7 @@ __all__ = [
     "ParseError",
     "ShapeError",
     "UnsupportedSize",
-    "analysis_matrix",
     "canonical_form",
-    "dot",
     "enum_cyclic_gram",
     "enum_nonrepeating",
     "enum_orthogonal",
@@ -85,14 +82,10 @@ __all__ = [
     "is_gram_of_parseval",
     "is_orthogonal",
     "is_parseval",
-    "mat_mul",
     "naimark_complement",
     "odd_columns",
-    "parity",
     "permutation_equivalent",
-    "rank",
     "reconstruct",
-    "shift_matrix",
     "solve",
     "switching_equivalent",
 ]

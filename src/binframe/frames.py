@@ -17,7 +17,6 @@ from .gf2 import BinMatrix, BinVector
 
 __all__ = [
     "Frame",
-    "analysis_matrix",
     "is_parseval",
     "reconstruct",
     "gram",
@@ -71,11 +70,6 @@ class Frame:
     @property
     def synthesis(self) -> BinMatrix:
         return self.analysis.transpose()
-
-
-def analysis_matrix(f: Frame) -> BinMatrix:
-    """The k x n matrix whose i-th row is the i-th frame vector."""
-    return f.analysis
 
 
 def is_parseval(theta: BinMatrix) -> bool:

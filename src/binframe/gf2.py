@@ -21,10 +21,6 @@ __all__ = [
     "BinVector",
     "BinMatrix",
     "AffineSolutionSet",
-    "dot",
-    "parity",
-    "mat_mul",
-    "rank",
     "solve",
 ]
 
@@ -274,49 +270,13 @@ class BinMatrix:
         return self.is_square and self.data == self.transpose().data
 
     def rank(self) -> int:
-        return len(_rref(list(self.data), self.cols)[1])
+        return len(Echelon(self.data))
 
     def to_bitstring_rows(self) -> list[str]:
         return [self.row(i).to_bitstring() for i in range(self.rows)]
 
     def __str__(self) -> str:
         return "\n".join(self.to_bitstring_rows())
-
-
-def _rref(
-    rows: list[int], cols: int, rhs: Optional[list[int]] = None
-) -> tuple[list[int], list[int], Optional[list[int]]]:
-    """Gauss-Jordan over GF(2), pivoting on the lowest column then lowest row.
-
-    Returns the reduced rows, pivot column indices (ascending) and the
-    reduced right-hand side.  The fixed pivot rule keeps every downstream
-    canonical form reproducible.
-    """
-    work = list(rows)
-    b = list(rhs) if rhs is not None else None
-    pivots: list[int] = []
-    pivot_row = 0
-    for col in range(cols):
-        found = -1
-        for r in range(pivot_row, len(work)):
-            if (work[r] >> col) & 1:
-                found = r
-                break
-        if found == -1:
-            continue
-        work[pivot_row], work[found] = work[found], work[pivot_row]
-        if b is not None:
-            b[pivot_row], b[found] = b[found], b[pivot_row]
-        for r in range(len(work)):
-            if r != pivot_row and (work[r] >> col) & 1:
-                work[r] ^= work[pivot_row]
-                if b is not None:
-                    b[r] ^= b[pivot_row]
-        pivots.append(col)
-        pivot_row += 1
-        if pivot_row == len(work):
-            break
-    return work, pivots, b
 
 
 @dataclass(frozen=True, slots=True)
@@ -353,23 +313,72 @@ class AffineSolutionSet:
             yield current
 
 
-def dot(u: BinVector, v: BinVector) -> int:
-    """Dot product sum(u_i v_i) mod 2."""
-    return u.dot(v)
+class Echelon:
+    """A GF(2) row space in fully reduced row-echelon form, grown one row
+    at a time.
 
+    Rows are ints.  Each stored row's pivot is its lowest set bit, and no
+    other stored row has that bit set.  This form is unique for a given
+    row space, so what is read off it does not depend on the order in
+    which rows were added.
+    """
 
-def parity(v: BinVector) -> int:
-    """Entry sum mod 2: 0 for even vectors, 1 for odd ones."""
-    return v.parity()
+    __slots__ = ("_rows", "_pivots")
 
+    def __init__(self, rows: Iterable[int] = ()):
+        self._rows: dict[int, int] = {}  # pivot bit -> row
+        self._pivots = 0  # union of the pivot bits
+        for r in rows:
+            self.add(r)
 
-def mat_mul(a: BinMatrix, b: BinMatrix) -> BinMatrix:
-    return a @ b
+    def __len__(self) -> int:
+        return len(self._rows)
 
+    def add(self, row: int) -> bool:
+        """Insert ``row``; False when it already lies in the span."""
+        rows = self._rows
+        # a stored row clears its own pivot and touches no other pivot bit
+        hits = row & self._pivots
+        while hits:
+            low = hits & -hits
+            row ^= rows[low]
+            hits ^= low
+        if not row:
+            return False
+        low = row & -row
+        for pivot, r in rows.items():
+            if r & low:
+                rows[pivot] = r ^ row
+        rows[low] = row
+        self._pivots |= low
+        return True
 
-def rank(a: BinMatrix) -> int:
-    """Rank over GF(2); row and column rank coincide."""
-    return a.rank()
+    def solutions(self, cols: int) -> AffineSolutionSet:
+        """Solutions of the system whose equations are the stored rows,
+        with bits below ``cols`` as coefficients and bit ``cols`` as the
+        right-hand side.
+
+        A pivot at bit ``cols`` or above makes the system inconsistent.
+        The null basis has one vector per free column, in ascending
+        column order.
+        """
+        if self._pivots >> cols:
+            return AffineSolutionSet(cols, None, ())
+        part = 0
+        for pivot, r in self._rows.items():
+            if (r >> cols) & 1:
+                part |= pivot
+        basis = []
+        free = ((1 << cols) - 1) & ~self._pivots
+        while free:
+            bit = free & -free
+            free ^= bit
+            vec = bit
+            for pivot, r in self._rows.items():
+                if r & bit:
+                    vec |= pivot
+            basis.append(BinVector(cols, vec))
+        return AffineSolutionSet(cols, BinVector(cols, part), tuple(basis))
 
 
 def solve(a: BinMatrix, b: BinVector) -> AffineSolutionSet:
@@ -383,23 +392,6 @@ def solve(a: BinMatrix, b: BinVector) -> AffineSolutionSet:
         raise DimensionError(
             f"system shape {a.shape} does not match right-hand side length {b.n}"
         )
-    rhs_bits = [(b.bits >> i) & 1 for i in range(b.n)]
-    reduced, pivots, rhs = _rref(list(a.data), a.cols, rhs_bits)
-    assert rhs is not None
-    for r in range(len(pivots), a.rows):
-        if rhs[r]:
-            return AffineSolutionSet(a.cols, None, ())
-    part = 0
-    for r, c in enumerate(pivots):
-        part |= rhs[r] << c
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(a.cols):
-        if free in pivot_set:
-            continue
-        vec = 1 << free
-        for r, c in enumerate(pivots):
-            if (reduced[r] >> free) & 1:
-                vec |= 1 << c
-        basis.append(BinVector(a.cols, vec))
-    return AffineSolutionSet(a.cols, BinVector(a.cols, part), tuple(basis))
+    cols = a.cols
+    rows = (r | (((b.bits >> i) & 1) << cols) for i, r in enumerate(a.data))
+    return Echelon(rows).solutions(cols)

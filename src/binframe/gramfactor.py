@@ -4,18 +4,21 @@ A symmetric idempotent binary matrix is the Gram matrix of a Parseval
 frame exactly when it has at least one odd column (equivalently, a
 non-zero diagonal entry).  When it is, ``factor_gram`` produces an
 analysis matrix theta with orthonormal columns and ``theta theta* = m``,
-built column by column: every column must be an odd vector fixed by m and
-orthogonal to the columns found so far, which is one linear system per
-column.  Choices are pinned so the output is deterministic.
+built column by column: every column must be an odd vector fixed by m
+(equivalently, orthogonal to the kernel of m) and orthogonal to the
+columns found so far.  The columns come from the same orthonormal-sequence
+construction that extends sequences to bases (``naimark``), with the
+kernel of m as extra constraints.  Choices are pinned so the output is
+deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
 
 from .errors import InvalidInput, NotGramMatrix, ShapeError
-from .gf2 import BinMatrix, BinVector, solve
+from .gf2 import BinMatrix, BinVector
+from .naimark import _orthonormal_fill
 
 __all__ = [
     "GramCandidate",
@@ -24,40 +27,6 @@ __all__ = [
     "is_gram_of_parseval",
     "factor_gram",
 ]
-
-
-class _RowSpan:
-    """Incrementally built GF(2) span with membership tests."""
-
-    def __init__(self, rows: Iterable[int] = ()):
-        self._basis: dict[int, int] = {}
-        for r in rows:
-            self.add(r)
-
-    def reduce(self, bits: int) -> int:
-        while bits:
-            row = self._basis.get(bits.bit_length() - 1)
-            if row is None:
-                break
-            bits ^= row
-        return bits
-
-    def contains(self, bits: int) -> bool:
-        return self.reduce(bits) == 0
-
-    def add(self, bits: int) -> bool:
-        reduced = self.reduce(bits)
-        if reduced == 0:
-            return False
-        self._basis[reduced.bit_length() - 1] = reduced
-        return True
-
-    def contains_with(self, target: int, extra: int) -> bool:
-        """Membership in span(basis + one extra vector)."""
-        return self.contains(target) or self.contains(target ^ extra)
-
-    def __len__(self) -> int:
-        return len(self._basis)
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,29 +81,6 @@ def is_gram_of_parseval(cand: GramCandidate) -> bool:
     return bool(odd_columns(cand.m))
 
 
-def _solve_column(
-    v_rows: tuple[int, ...],
-    found: list[int],
-    k: int,
-    span: _RowSpan,
-    ones_bits: int,
-    keep_filter: bool,
-) -> Optional[BinVector]:
-    """One column step: solve (V; found; ones) x = (0; 0; 1).
-
-    With ``keep_filter`` set, skip solutions that would put the all-ones
-    vector into span(V, found, x); at most one solution is bad, so a good
-    one always remains while the filter is required.
-    """
-    rows = v_rows + tuple(found) + (ones_bits,)
-    rhs = BinVector(len(rows), 1 << (len(rows) - 1))
-    sols = solve(BinMatrix(k, rows), rhs)
-    for cand in sols:
-        if not keep_filter or not span.contains_with(ones_bits, cand.bits):
-            return cand
-    return None
-
-
 def factor_gram(cand: GramCandidate) -> Factorization:
     """Factor ``m = theta theta*`` with ``theta* theta = I``.
 
@@ -142,7 +88,8 @@ def factor_gram(cand: GramCandidate) -> Factorization:
     The first column is the lowest-index odd column of ``m`` whenever that
     choice leaves the remaining systems consistent (it almost always
     does); otherwise the seed is picked like every later column, as the
-    first admissible solution of the corresponding linear system.  Raises
+    first admissible solution of the corresponding linear system.  Both
+    identities are checked before the result is returned.  Raises
     NotGramMatrix, carrying the column parities, when every column is
     even.
     """
@@ -155,37 +102,18 @@ def factor_gram(cand: GramCandidate) -> Factorization:
             witness=tuple(c.bit_count() & 1 for c in m.transpose().data),
         )
     n = m.rank()
-    ones_bits = (1 << k) - 1
-
-    # maximal independent row set of I + m, rows taken greedily in
-    # ascending order; its span is the kernel of m
-    v_span = _RowSpan()
-    v_rows: list[int] = []
-    for r in (m + BinMatrix.identity(k)).data:
-        if v_span.add(r):
-            v_rows.append(r)
-    assert len(v_rows) == k - n
-
-    span = _RowSpan(v_rows)
-    seed_bits = m.col(odd[0]).bits
-    columns: list[int] = []
-    if n == 1 or not span.contains_with(ones_bits, seed_bits):
-        columns.append(seed_bits)
-    else:
-        picked = _solve_column(tuple(v_rows), [], k, span, ones_bits, keep_filter=True)
-        assert picked is not None
-        columns.append(picked.bits)
-    span.add(columns[0])
-
-    for s in range(1, n):
-        picked = _solve_column(
-            tuple(v_rows), columns, k, span, ones_bits, keep_filter=(s <= n - 2)
-        )
-        assert picked is not None, "column system must stay consistent"
-        columns.append(picked.bits)
-        span.add(picked.bits)
+    # For a non-empty orthonormal set W in range(m), the all-ones vector
+    # lies in span(ker m, W) iff sum(W) = m ones (dot with each w in W),
+    # and then no further column can be found; so m ones is the sum to
+    # avoid while columns remain.
+    target = m.mul_vec(BinVector.ones(k)).bits
+    seed = m.col(odd[0]).bits
+    start = [seed] if n == 1 or seed != target else []
+    # the rows of I + m span ker m
+    kernel = (m + BinMatrix.identity(k)).data
+    columns = _orthonormal_fill(k, kernel, start, n, target)
 
     theta = BinMatrix.from_cols([BinVector(k, c) for c in columns])
-    assert theta.transpose() @ theta == BinMatrix.identity(n)
-    assert theta @ theta.transpose() == m
+    if theta.transpose() @ theta != BinMatrix.identity(n) or theta @ theta.transpose() != m:
+        raise RuntimeError("factorization failed its check theta* theta = I, theta theta* = m")
     return Factorization(theta)

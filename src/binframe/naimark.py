@@ -1,12 +1,14 @@
 """Orthonormal extension and Naimark complements.
 
 An orthonormal sequence in GF(2)^k extends to an orthonormal basis exactly
-when its vector sum differs from the all-ones vector; the extension is
-computed one vector at a time by solving a linear system whose rows are
-the vectors found so far plus the all-ones row.  A Parseval frame has a
-complementary Parseval frame exactly when at least one frame vector is
-even, and the complement falls out of extending the analysis matrix's
-columns to an orthonormal basis.
+when its vector sum differs from the all-ones vector.  The extension is
+built one vector at a time by ``_orthonormal_fill``, the construction that
+also factors Gram matrices (``gramfactor``): each new vector solves the
+stacked system (constraints; vectors so far; all-ones row) x = (0; 0; 1),
+kept as one echelon that grows by each vector found instead of being
+solved again.  A Parseval frame has a complementary Parseval frame exactly
+when at least one frame vector is even, and the complement falls out of
+extending the analysis matrix's columns to an orthonormal basis.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionError, ExtensionObstruction, InvalidInput
 from .frames import is_parseval
-from .gf2 import BinMatrix, BinVector, solve
+from .gf2 import BinMatrix, BinVector, Echelon
 
 __all__ = [
     "OrthonormalSequence",
@@ -90,14 +92,36 @@ def is_extendable(seq: OrthonormalSequence) -> bool:
     return seq.vector_sum() != BinVector.ones(seq.dim)
 
 
-def _pick_solution(sols, avoid_bits: Optional[int]) -> BinVector:
-    """First solution in iteration order; with ``avoid_bits`` set, the
-    first one whose bits differ from it (the bad choice is unique, so at
-    most one candidate is skipped)."""
-    for v in sols:
-        if avoid_bits is None or v.bits != avoid_bits:
-            return v
-    raise AssertionError("no admissible solution; extension invariant violated")
+def _orthonormal_fill(
+    k: int, constraints: Iterable[int], start: Sequence[int], n: int, target: int
+) -> list[int]:
+    """Extend the orthonormal vectors ``start`` in GF(2)^k to ``n`` vectors,
+    each odd, orthogonal to the others and to every row of ``constraints``.
+
+    Each new vector is the first Gray-code-ordered solution of the stacked
+    system (constraints; vectors so far; all-ones row) x = (0; 0; 1),
+    except that while room remains (s <= n - 2) the unique solution that
+    makes the running sum equal ``target`` is skipped: it alone would leave
+    the next system inconsistent.  The system is one echelon that grows by
+    each vector found.
+    """
+    system = Echelon(constraints)
+    system.add(((1 << k) - 1) | (1 << k))
+    found = list(start)
+    total = 0
+    for v in found:
+        system.add(v)
+        total ^= v
+    for s in range(len(found), n):
+        for x in system.solutions(k):
+            if s > n - 2 or total ^ x.bits != target:
+                break
+        else:
+            raise RuntimeError(f"no admissible vector {s + 1} of {n} in GF(2)^{k}")
+        found.append(x.bits)
+        system.add(x.bits)
+        total ^= x.bits
+    return found
 
 
 def extend_to_basis(seq: OrthonormalSequence) -> OrthonormalSequence:
@@ -119,20 +143,9 @@ def extend_to_basis(seq: OrthonormalSequence) -> OrthonormalSequence:
         raise ExtensionObstruction(
             f"vector sum is the all-ones vector in GF(2)^{k}", witness=total
         )
-    current = list(seq.vecs)
-    sum_bits = total.bits
-    for s in range(len(current), k):
-        system = BinMatrix(k, tuple(v.bits for v in current) + (ones.bits,))
-        rhs = BinVector(s + 1, 1 << s)
-        sols = solve(system, rhs)
-        assert sols.is_consistent, "extension system must stay consistent"
-        # while room remains, avoid the unique choice driving the sum to all-ones
-        avoid = (sum_bits ^ ones.bits) if s <= k - 2 else None
-        v = _pick_solution(sols, avoid)
-        current.append(v)
-        sum_bits ^= v.bits
-    assert sum_bits == ones.bits
-    return OrthonormalSequence(k, tuple(current))
+    vecs = _orthonormal_fill(k, (), [v.bits for v in seq.vecs], k, ones.bits)
+    # the constructor re-checks orthonormality, which forces the all-ones sum
+    return OrthonormalSequence(k, tuple(BinVector(k, v) for v in vecs))
 
 
 def has_naimark_complement(theta: BinMatrix) -> bool:
@@ -156,8 +169,10 @@ def naimark_complement(theta: BinMatrix) -> BinMatrix:
 
     The columns of theta are extended to an orthonormal basis of GF(2)^k
     and the new vectors become the columns of psi, making the block
-    (theta | psi) orthogonal.  Raises ExtensionObstruction when every
-    frame vector is odd.
+    (theta | psi) orthogonal.  Only a verified psi is returned: the
+    extension is re-checked to be orthonormal, and a square matrix with
+    orthonormal columns is orthogonal, so gram(theta) + gram(psi) = I.
+    Raises ExtensionObstruction when every frame vector is odd.
     """
     if not has_naimark_complement(theta):
         raise ExtensionObstruction(

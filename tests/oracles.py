@@ -256,3 +256,139 @@ def conjugation_equivalent_brute(a_rows: tuple[int, ...], b_rows: tuple[int, ...
         if ok:
             return True
     return False
+
+
+# -- the construction as it was first written: Gauss-Jordan solved afresh
+# at every step.  The package now grows one echelon instead; these keep
+# the old path as the reference its outputs must match bit for bit.
+
+
+def gauss_jordan_solve(
+    rows: list[int], cols: int, rhs: list[int]
+) -> tuple[int | None, list[int], int]:
+    """(particular solution or None, null basis, rank) of ``rows x = rhs``.
+
+    Gauss-Jordan elimination pivoting on the lowest column, then the lowest
+    row; the particular solution sets every free variable to 0, and the null
+    basis has one vector per free column, in ascending column order.
+    """
+    work, b = list(rows), list(rhs)
+    pivots: list[int] = []
+    for col in range(cols):
+        r0 = len(pivots)
+        found = next((r for r in range(r0, len(work)) if (work[r] >> col) & 1), None)
+        if found is None:
+            continue
+        work[r0], work[found] = work[found], work[r0]
+        b[r0], b[found] = b[found], b[r0]
+        for r in range(len(work)):
+            if r != r0 and (work[r] >> col) & 1:
+                work[r] ^= work[r0]
+                b[r] ^= b[r0]
+        pivots.append(col)
+    if any(b[len(pivots):]):
+        return None, [], len(pivots)
+    particular = 0
+    for r, c in enumerate(pivots):
+        particular |= b[r] << c
+    basis = []
+    for free in range(cols):
+        if free in pivots:
+            continue
+        vec = 1 << free
+        for r, c in enumerate(pivots):
+            if (work[r] >> free) & 1:
+                vec |= 1 << c
+        basis.append(vec)
+    return particular, basis, len(pivots)
+
+
+def gray_code_members(particular: int, basis: list[int]):
+    """Members of particular + span(basis), flipping one basis vector per
+    step in reflected-Gray-code order."""
+    current = particular
+    yield current
+    for t in range(1, 1 << len(basis)):
+        current ^= basis[(t & -t).bit_length() - 1]
+        yield current
+
+
+def _in_span(target: int, rows: list[int]) -> bool:
+    return rank_int_rows(tuple(rows) + (target,)) == rank_int_rows(tuple(rows))
+
+
+def _solve_step(constraints: list[int], found: list[int], k: int, keep) -> int | None:
+    """First Gray-code solution of (constraints; found; all-ones) x =
+    (0; 0; 1) that ``keep`` accepts, solving the stacked system afresh."""
+    rows = constraints + found + [(1 << k) - 1]
+    particular, basis, _ = gauss_jordan_solve(rows, k, [0] * (len(rows) - 1) + [1])
+    if particular is None:
+        return None
+    return next((x for x in gray_code_members(particular, basis) if keep(x)), None)
+
+
+def reference_extend_to_basis(vecs: list[int], k: int) -> list[int]:
+    """Extend an orthonormal sequence whose sum is not all-ones to a basis:
+    each new vector is the first solution whose addition keeps the running
+    sum off the all-ones vector while at least one more vector must follow."""
+    ones = (1 << k) - 1
+    found = list(vecs)
+    total = 0
+    for v in found:
+        total ^= v
+    for s in range(len(found), k):
+        avoid = total ^ ones if s <= k - 2 else None
+        x = _solve_step([], found, k, lambda x: x != avoid)
+        found.append(x)
+        total ^= x
+    return found
+
+
+def reference_factor_gram(m_rows: tuple[int, ...], k: int) -> list[int]:
+    """Columns of theta with theta* theta = I and theta theta* = m for a
+    symmetric idempotent m with an odd column.
+
+    The kernel rows are the greedily independent rows of I + m.  The seed
+    is the lowest odd column of m unless all-ones then lies in the span of
+    the kernel and the seed; every other column is the first solution that,
+    while at least one more column must follow, keeps all-ones out of the
+    span of the kernel and the columns found so far.
+    """
+    ones = (1 << k) - 1
+    m_cols = matrix_rows_of_columns(m_rows, k)
+    odd = [j for j in range(k) if popcount_parity(m_cols[j])]
+    n = rank_int_rows(m_rows)
+    kernel: list[int] = []
+    for i in range(k):
+        row = m_rows[i] ^ (1 << i)
+        if row and not _in_span(row, kernel):
+            kernel.append(row)
+    seed = m_cols[odd[0]]
+    columns: list[int] = []
+    if n == 1 or not _in_span(ones, kernel + [seed]):
+        columns.append(seed)
+    for s in range(len(columns), n):
+        spanned = kernel + columns
+        if s <= n - 2:
+            keep = lambda x: not _in_span(ones, spanned + [x])  # noqa: E731
+        else:
+            keep = lambda x: True  # noqa: E731
+        columns.append(_solve_step(kernel, columns, k, keep))
+    return columns
+
+
+def random_orthonormal_sequence(rng, k: int, r: int) -> list[int]:
+    """Up to r pairwise orthonormal vectors in GF(2)^k, each drawn uniformly
+    from the odd vectors orthogonal to the ones before it; shorter when the
+    vectors drawn sum to all-ones and nothing more fits."""
+    ones = (1 << k) - 1
+    found: list[int] = []
+    while len(found) < r:
+        particular, basis, _ = gauss_jordan_solve(found + [ones], k, [0] * len(found) + [1])
+        if particular is None:
+            break
+        for b in basis:
+            if rng.getrandbits(1):
+                particular ^= b
+        found.append(particular)
+    return found

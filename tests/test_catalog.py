@@ -17,7 +17,6 @@ from binframe import (
     is_orthogonal,
     is_parseval,
     odd_columns,
-    shift_matrix,
 )
 from oracles import int_dot, rank_int_rows
 
@@ -128,7 +127,7 @@ def test_cyclic_matches_reference_table():
 
 def test_cyclic_entry_invariants():
     for k in range(3, 21):
-        s = shift_matrix(k)
+        s = BinMatrix.shift(k)
         for cg in enum_cyclic_gram(k):
             c = cg.matrix()
             assert c.is_symmetric()
@@ -154,11 +153,6 @@ def test_cyclic_completeness_brute_force():
             if conv == c:
                 brute.append(bits)
         assert [g.first_row.bits for g in enum_cyclic_gram(k)] == sorted(brute)
-
-
-def test_cyclic_parallel_scan_matches_serial():
-    for k in (12, 17):
-        assert enum_cyclic_gram(k, jobs=2) == enum_cyclic_gram(k)
 
 
 def test_cyclic_rejects_nonpositive_size():
@@ -220,7 +214,7 @@ def test_nonrepeating_rows_distinct_iff_gram_rows_distinct():
 
 def test_nonrepeating_column_space_is_shift_invariant():
     for k in (9, 15):
-        s = shift_matrix(k)
+        s = BinMatrix.shift(k)
         for pair in enum_nonrepeating(k):
             cols = [c.bits for c in pair.theta.col_vectors()]
             base_rank = rank_int_rows(tuple(cols))
@@ -248,9 +242,9 @@ def test_cyclic_frames_have_no_complement():
 
 
 def test_shift_examples():
-    assert shift_matrix(1) == BinMatrix(1, (1,))
-    assert shift_matrix(3).mul_vec(BinVector.basis(3, 0)) == BinVector.basis(3, 1)
+    assert BinMatrix.shift(1) == BinMatrix(1, (1,))
+    assert BinMatrix.shift(3).mul_vec(BinVector.basis(3, 0)) == BinVector.basis(3, 1)
     p = BinMatrix.identity(5)
     for _ in range(5):
-        p = shift_matrix(5) @ p
+        p = BinMatrix.shift(5) @ p
     assert p == BinMatrix.identity(5)

@@ -1,10 +1,17 @@
 """End-to-end CLI behavior: subcommands, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from binframe.cli import run
+from oracles import circulant_int_rows, gram_of_columns, int_dot, matrix_rows_of_columns
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -201,14 +208,9 @@ def test_enum_cyclic_nonrepeating_dense(capsys):
 
 
 def test_enum_cyclic_jobs_flag(capsys):
-    assert run(["enum", "cyclic", "--k", "15", "--jobs", "2"]) == 0
-    assert len(capsys.readouterr().out.splitlines()) == 8
-
-
-def test_enum_jobs_env_default(capsys, monkeypatch):
-    monkeypatch.setenv("BINFRAME_JOBS", "2")
-    assert run(["enum", "cyclic", "--k", "9"]) == 0
-    assert len(capsys.readouterr().out.splitlines()) == 4
+    """The scan runs in one process; there is no --jobs option."""
+    assert run(["enum", "cyclic", "--k", "15", "--jobs", "2"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_enum_cyclic_nonrepeating_cols_int(capsys):
@@ -297,3 +299,72 @@ def test_exit_codes_distinguish_outcomes(write, capsys):
     bad = write("bad.txt", "abc\n")
     assert run(["check", "parseval", bad]) == 2
     capsys.readouterr()
+
+
+def _run_optimized(*argv):
+    """``python -O -m binframe.cli`` in a child: asserts are stripped."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-O", "-m", "binframe.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120, check=False,
+    )
+
+
+def _dense_rows(lines):
+    """Row ints of a dense block, entry i of a line in bit i."""
+    return tuple(sum(1 << i for i, ch in enumerate(line) if ch == "1") for line in lines)
+
+
+def _assert_factors(theta_lines, m_rows):
+    """theta* theta = I and theta theta* = m, from the definitions."""
+    k, n = len(theta_lines), len(theta_lines[0])
+    cols = matrix_rows_of_columns(_dense_rows(theta_lines), n)
+    assert all(int_dot(cols[a], cols[b]) == (a == b) for a in range(n) for b in range(n))
+    assert gram_of_columns(cols, k) == tuple(m_rows)
+
+
+def test_cli_results_hold_under_python_O(write):
+    """With asserts stripped, every construction still returns checked
+    results: factor (including a fallback seed), complement, extend, and
+    the k = 15 repetition-free catalog against tests/data/nonrepeating."""
+    c9 = circulant_int_rows(int("111011011"[::-1], 2), 9)
+    fallback = (1, 0b1100, 0b1010, 0b0110)  # diag(1, hollow ones): its odd column cannot seed
+    for k, m_rows in ((9, c9), (4, fallback)):
+        dense = "".join("".join(str((r >> j) & 1) for j in range(k)) + "\n" for r in m_rows)
+        proc = _run_optimized("factor", write(f"m{k}.txt", dense))
+        assert proc.returncode == 0, proc.stderr
+        _assert_factors(proc.stdout.split(), m_rows)
+
+    theta = write("theta.json", json.dumps({"rows": 4, "cols": 2, "data": ["11", "11", "10", "01"]}))
+    proc = _run_optimized("complement", theta, "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["gram_sum_is_identity"] is True and doc["block_is_orthogonal"] is True
+    psi = matrix_rows_of_columns(_dense_rows(doc["psi"]["data"]), 2)
+    block = (0b0111, 0b1011) + psi  # columns of (theta | psi)
+    assert all(int_dot(block[a], block[b]) == (a == b) for a in range(4) for b in range(4))
+
+    proc = _run_optimized("extend", write("seed.txt", "1110000\n0001000\n"))
+    assert proc.returncode == 0, proc.stderr
+    rows = proc.stdout.split()
+    assert rows[:2] == ["1110000", "0001000"]
+    basis = _dense_rows(rows)
+    assert len(basis) == 7
+    assert all(int_dot(basis[a], basis[b]) == (a == b) for a in range(7) for b in range(7))
+
+    proc = _run_optimized("enum", "cyclic", "--nonrepeating", "--k", "15")
+    assert proc.returncode == 0, proc.stderr
+    blocks = [b.splitlines() for b in proc.stdout.strip().split("\n\n")]
+    reference = {}
+    for path in sorted((ROOT / "tests" / "data" / "nonrepeating").glob("k15_n*.txt")):
+        reference[int(path.stem.split("_n")[1])] = path.read_text().splitlines()[0]
+    emitted = []
+    for header, *theta_lines in blocks:
+        _, n_field, gram_field = header.split()
+        n, first_row = int(n_field[2:]), gram_field[5:]
+        emitted.append((n, first_row))
+        assert len(theta_lines) == 15 and len(theta_lines[0]) == n
+        assert len(set(theta_lines)) == 15
+        _assert_factors(theta_lines, circulant_int_rows(int(first_row[::-1], 2), 15))
+    assert sorted(emitted) == sorted(reference.items())

@@ -16,7 +16,6 @@ from binframe import (
     canonical_form,
     gram,
     permutation_equivalent,
-    shift_matrix,
     switching_equivalent,
 )
 from oracles import conjugation_equivalent_brute, perm_equivalent_brute
@@ -100,7 +99,7 @@ def test_all_ones_is_its_own_orbit():
 def test_conjugation_preserves_cycle_type():
     """A full cycle canonicalizes to the plain shift, never to identity."""
     for k in (3, 4):
-        s = shift_matrix(k)
+        s = BinMatrix.shift(k)
         rng = random.Random(k)
         perm = list(range(k))
         rng.shuffle(perm)

@@ -7,13 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from binframe import BinMatrix, BinVector, ParseError
-from binframe.formats import (
-    int_to_vector,
-    parse_matrix,
-    parse_vector,
-    render_matrix,
-    vector_to_int,
-)
+from binframe.formats import parse_matrix, parse_vector, render_matrix
 
 matrices = st.integers(1, 7).flatmap(
     lambda r: st.integers(1, 7).flatmap(
@@ -40,10 +34,10 @@ def test_json_round_trip(m):
 
 
 def test_catalog_integer_encoding():
-    v = int_to_vector(13, 4)
+    v = BinVector(4, 13)
     assert tuple(v) == (1, 0, 1, 1)
-    assert vector_to_int(v) == 13
-    assert vector_to_int(BinVector.from_bits([1, 0, 0, 0])) == 1
+    assert v.bits == 13
+    assert BinVector.from_bits([1, 0, 0, 0]).bits == 1
 
 
 def test_parse_dense_example():

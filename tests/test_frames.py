@@ -11,7 +11,6 @@ from binframe import (
     Frame,
     NotSpanningError,
     ShapeError,
-    analysis_matrix,
     gram,
     is_orthogonal,
     is_parseval,
@@ -32,18 +31,18 @@ def cols_matrix(k, ints):
 
 def test_analysis_of_canonical_basis():
     f = Frame.from_vectors([vec(1, 0, 0), vec(0, 1, 0), vec(0, 0, 1)])
-    assert analysis_matrix(f) == BinMatrix.identity(3)
+    assert f.analysis == BinMatrix.identity(3)
 
 
 def test_analysis_of_repeated_ones():
     f = Frame.from_vectors([vec(1), vec(1), vec(1)])
-    assert analysis_matrix(f) == BinMatrix.all_ones(3, 1)
+    assert f.analysis == BinMatrix.all_ones(3, 1)
 
 
 def test_analysis_rows_in_order():
     rows = [vec(1, 1, 1, 0), vec(1, 1, 0, 1), vec(1, 0, 1, 1), vec(0, 1, 1, 1)]
     f = Frame.from_vectors(rows)
-    theta = analysis_matrix(f)
+    theta = f.analysis
     assert theta.row_vectors() == tuple(rows)
     assert f.synthesis == theta.transpose()
 

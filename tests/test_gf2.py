@@ -11,12 +11,9 @@ from binframe import (
     BinMatrix,
     BinVector,
     DimensionError,
-    dot,
-    mat_mul,
-    parity,
-    rank,
     solve,
 )
+from oracles import gauss_jordan_solve
 
 
 def vec(*bits):
@@ -40,20 +37,20 @@ matrices = st.integers(1, 8).flatmap(
 
 
 def test_dot_examples():
-    assert dot(vec(1, 0, 1), vec(1, 1, 1)) == 0
-    assert dot(vec(1, 1, 1), vec(1, 1, 1)) == 1
+    assert vec(1, 0, 1).dot(vec(1, 1, 1)) == 0
+    assert vec(1, 1, 1).dot(vec(1, 1, 1)) == 1
 
 
 def test_dot_canonical_basis_is_orthonormal():
     for i in range(4):
         for j in range(4):
             expected = 1 if i == j else 0
-            assert dot(BinVector.basis(4, i), BinVector.basis(4, j)) == expected
+            assert BinVector.basis(4, i).dot(BinVector.basis(4, j)) == expected
 
 
 def test_dot_dimension_mismatch():
     with pytest.raises(DimensionError):
-        dot(vec(1, 0), vec(1, 0, 1))
+        vec(1, 0).dot(vec(1, 0, 1))
 
 
 @pytest.mark.parametrize(
@@ -61,7 +58,7 @@ def test_dot_dimension_mismatch():
     [((1, 0, 1, 1), 1), ((0, 0, 0, 0), 0), ((1, 1, 0, 0), 0)],
 )
 def test_parity_examples(bits, expected):
-    assert parity(vec(*bits)) == expected
+    assert vec(*bits).parity() == expected
 
 
 def test_parity_is_dot_with_all_ones():
@@ -69,14 +66,14 @@ def test_parity_is_dot_with_all_ones():
     for _ in range(50):
         n = rng.randint(1, 40)
         v = BinVector(n, rng.getrandbits(n))
-        assert parity(v) == dot(v, BinVector.ones(n))
+        assert v.parity() == v.dot(BinVector.ones(n))
 
 
 @given(st.integers(1, 24), st.data())
 def test_parity_additive(n, data):
     u = BinVector(n, data.draw(st.integers(0, (1 << n) - 1)))
     v = BinVector(n, data.draw(st.integers(0, (1 << n) - 1)))
-    assert parity(u + v) == parity(u) ^ parity(v)
+    assert (u + v).parity() == u.parity() ^ v.parity()
 
 
 def test_vector_self_cancellation():
@@ -106,39 +103,39 @@ def test_stray_bits_rejected():
 def test_mat_mul_identity():
     rng = random.Random(5)
     a = rand_matrix(rng, 3, 3)
-    assert mat_mul(BinMatrix.identity(3), a) == a
-    assert mat_mul(a, BinMatrix.identity(3)) == a
+    assert BinMatrix.identity(3) @ a == a
+    assert a @ BinMatrix.identity(3) == a
 
 
 def test_mat_mul_all_ones():
     # each entry of J3*J3 is 3 mod 2 = 1
     j3 = BinMatrix.all_ones(3, 3)
-    assert mat_mul(j3, j3) == j3
+    assert j3 @ j3 == j3
 
 
 def test_mat_mul_hollow_all_ones_is_idempotent():
     a = BinMatrix.all_ones(3, 3) + BinMatrix.identity(3)
-    assert mat_mul(a, a) == a
+    assert a @ a == a
     assert a.is_symmetric()
 
 
 def test_mat_mul_dimension_mismatch():
     with pytest.raises(DimensionError):
-        mat_mul(BinMatrix.zeros(2, 3), BinMatrix.zeros(2, 3))
+        BinMatrix.zeros(2, 3) @ BinMatrix.zeros(2, 3)
 
 
 def test_rank_examples():
-    assert rank(BinMatrix.identity(6)) == 6
-    assert rank(BinMatrix.all_ones(3, 3)) == 1
+    assert BinMatrix.identity(6).rank() == 6
+    assert BinMatrix.all_ones(3, 3).rank() == 1
     c = BinMatrix.circulant(vec(1, 1, 1, 0, 1, 1, 0, 1, 1))
-    assert rank(c) == 7
+    assert c.rank() == 7
 
 
 def test_rank_transpose_agrees():
     rng = random.Random(7)
     for _ in range(30):
         a = rand_matrix(rng, rng.randint(1, 10), rng.randint(1, 10))
-        assert rank(a) == rank(a.transpose())
+        assert a.rank() == a.transpose().rank()
 
 
 @given(matrices, matrices)
@@ -146,7 +143,7 @@ def test_rank_transpose_agrees():
 def test_transpose_of_product(a, b):
     if a.cols != b.rows:
         b = BinMatrix(b.cols, tuple(b.data[i % b.rows] for i in range(a.cols)))
-    assert mat_mul(a, b).transpose() == mat_mul(b.transpose(), a.transpose())
+    assert (a @ b).transpose() == b.transpose() @ a.transpose()
 
 
 def test_transpose_of_product_large_random():
@@ -250,7 +247,7 @@ def test_solve_exhaustive_cross_check():
         assert len(members) == len(set(members))
         assert set(members) == brute
         if sols.is_consistent:
-            assert len(sols) == 1 << (cols - rank(a))
+            assert len(sols) == 1 << (cols - a.rank())
 
 
 def test_solution_iteration_is_gray_coded():
@@ -268,3 +265,43 @@ def test_affine_set_is_plain_data():
     s = AffineSolutionSet(3, BinVector(3, 1), (BinVector(3, 6),))
     assert s.is_consistent
     assert len(s) == 2
+
+
+@st.composite
+def systems(draw):
+    """(a, b) with up to 14 rows and columns; rows mix a few generators so
+    rank deficits are common, and b is half the time in the column space."""
+    rows, cols = draw(st.integers(1, 14)), draw(st.integers(1, 14))
+    gens = draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=1, max_size=rows))
+    data = []
+    for _ in range(rows):
+        pick = draw(st.integers(0, (1 << len(gens)) - 1))
+        r = 0
+        for i, g in enumerate(gens):
+            if (pick >> i) & 1:
+                r ^= g
+        data.append(r)
+    a = BinMatrix(cols, tuple(data))
+    if draw(st.booleans()):
+        b = a.mul_vec(BinVector(cols, draw(st.integers(0, (1 << cols) - 1))))
+    else:
+        b = BinVector(rows, draw(st.integers(0, (1 << rows) - 1)))
+    return a, b
+
+
+@given(systems())
+@settings(max_examples=300)
+def test_solve_and_rank_match_gauss_jordan(system):
+    """The incremental echelon reads off the same particular solution, the
+    same null basis in the same order, and the same rank as Gauss-Jordan
+    elimination of the whole system."""
+    a, b = system
+    particular, basis, rank = gauss_jordan_solve(list(a.data), a.cols, list(b))
+    sols = solve(a, b)
+    assert a.rank() == rank
+    if particular is None:
+        assert not sols.is_consistent
+        assert sols.nullbasis == ()
+    else:
+        assert sols.particular == BinVector(a.cols, particular)
+        assert [v.bits for v in sols.nullbasis] == basis

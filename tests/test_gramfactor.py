@@ -11,6 +11,7 @@ from binframe import (
     InvalidInput,
     NotGramMatrix,
     ShapeError,
+    enum_cyclic_gram,
     enum_orthogonal,
     factor_gram,
     gram,
@@ -18,7 +19,14 @@ from binframe import (
     is_parseval,
     odd_columns,
 )
-from oracles import all_symmetric_idempotent, factorization_exists_full_brute, rank_int_rows
+from oracles import (
+    all_symmetric_idempotent,
+    factorization_exists_full_brute,
+    gram_of_columns,
+    random_orthonormal_sequence,
+    rank_int_rows,
+    reference_factor_gram,
+)
 
 
 def vec(*bits):
@@ -196,3 +204,33 @@ def test_factor_random_large_parseval_grams():
         assert gram(out) == g
         assert is_parseval(out)
         assert out.cols == n
+
+
+def _theta_cols(m: BinMatrix) -> list[int]:
+    return [c.bits for c in factor_gram(GramCandidate(m)).theta.col_vectors()]
+
+
+def test_factor_matches_per_step_reference_on_cyclic_grams():
+    """Every cyclic Gram for k <= 28 factors into exactly the columns of
+    the construction that re-solves the stacked system at every step."""
+    for k in range(1, 29):
+        for cg in enum_cyclic_gram(k):
+            m = cg.matrix()
+            assert _theta_cols(m) == reference_factor_gram(m.data, k), cg.first_row
+
+
+def test_factor_matches_per_step_reference_on_random_grams():
+    """Grams of random Parseval frames, plus the fallback-seed family."""
+    import random
+
+    rng = random.Random(71)
+    cases = []
+    for _ in range(40):
+        k = rng.randint(2, 24)
+        cols = random_orthonormal_sequence(rng, k, rng.randint(1, k))
+        cases.append((k, gram_of_columns(tuple(cols), k)))
+    for inner in (3, 5, 7, 9):
+        rows = (1,) + tuple(((1 << inner) - 1 ^ (1 << i)) << 1 for i in range(inner))
+        cases.append((inner + 1, rows))
+    for k, rows in cases:
+        assert _theta_cols(BinMatrix(k, rows)) == reference_factor_gram(rows, k), rows

@@ -18,7 +18,12 @@ from binframe import (
     is_parseval,
     naimark_complement,
 )
-from oracles import all_orthonormal_sets, complement_exists_brute
+from oracles import (
+    all_orthonormal_sets,
+    complement_exists_brute,
+    random_orthonormal_sequence,
+    reference_extend_to_basis,
+)
 
 
 def vec(*bits):
@@ -136,6 +141,25 @@ def test_extension_randomized_large_dimensions():
         assert len(ext) == k
         assert ext.vector_sum() == BinVector.ones(k)
         OrthonormalSequence(k, ext.vecs)
+
+
+def test_extend_matches_per_step_reference_on_random_prefixes():
+    """Random orthonormal prefixes extend to exactly the basis of the
+    construction that re-solves the stacked system at every step."""
+    rng = random.Random(53)
+    checked = 0
+    for _ in range(120):
+        k = rng.randint(1, 24)
+        prefix = random_orthonormal_sequence(rng, k, rng.randint(0, k))
+        s = OrthonormalSequence(k, tuple(BinVector(k, v) for v in prefix))
+        if len(prefix) < k and s.vector_sum() == BinVector.ones(k):
+            with pytest.raises(ExtensionObstruction):
+                extend_to_basis(s)
+            continue
+        ext = extend_to_basis(s)
+        assert [v.bits for v in ext.vecs] == reference_extend_to_basis(prefix, k)
+        checked += 1
+    assert checked >= 100
 
 
 # -- complements ------------------------------------------------------------
