@@ -4,10 +4,12 @@ repetition-free factorizations of the latter.
 
 Orthogonal matrices are searched column by column over odd vectors in
 ascending integer order; the result is capped at k <= 6, the range whose
-class counts have been verified.  Circulant Gram candidates are
-pre-filtered by the symmetry and odd-weight constraints on the first row
-(which shrink 2^k candidates to about 2^(k/2)) before the quadratic
-idempotency check.
+class counts have been verified.  Circulant Grams are built, not
+searched.  A circulant is idempotent iff its first row c(x) is an
+idempotent of GF(2)[x]/(x^k - 1); as c(x)^2 = c(x^2), for odd k these are
+the rows constant on the 2-cyclotomic cosets mod k, and for k = 2^a m, m
+odd, the lifts c(x^(2^a)) of those for m.  Symmetry adds constancy under
+negation, odd columns odd weight.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ __all__ = [
 ]
 
 ORTHOGONAL_MAX_K = 6
+CYCLIC_MAX_ENTRIES = 2**16
 
 
 @dataclass(frozen=True, slots=True)
@@ -141,43 +144,36 @@ def enum_orthogonal(k: int) -> OrthogonalCatalog:
     )
 
 
-def _rotl(bits: int, by: int, k: int) -> int:
-    by %= k
-    if by == 0:
-        return bits
-    return ((bits << by) | (bits >> (k - by))) & ((1 << k) - 1)
+def _coset_orbits(m: int) -> list[set[int]]:
+    """Orbits of Z_m (m odd) under t -> 2t and t -> -t, {0} first: each is
+    a 2-cyclotomic coset joined with its negative."""
+    seen: set[int] = set()
+    orbits = []
+    for t in range(m):
+        if t not in seen:
+            coset = [t]
+            while (u := 2 * coset[-1] % m) != t:
+                coset.append(u)
+            orbits.append({*coset, *(-u % m for u in coset)})
+            seen |= orbits[-1]
+    return orbits
 
 
-def _cyclic_candidates(k: int) -> list[int]:
-    """First rows surviving the symmetry and odd-weight pre-filters.
-
-    Symmetry of the circulant forces c_i = c_{(k-i) mod k}, odd columns
-    force odd weight, and both together force c_0 = 1 and (for even k) a
-    zero at position k/2.
-    """
-    if k == 1:
-        return [1]
-    pairs = [(i, k - i) for i in range(1, (k + 1) // 2)]
-    out = []
-    for mask in range(1 << len(pairs)):
-        c = 1
-        for b, (i, j) in enumerate(pairs):
-            if (mask >> b) & 1:
-                c |= (1 << i) | (1 << j)
-        out.append(c)
-    return out
+def _gcd_degree(a: int, b: int) -> int:
+    """Degree of gcd(a(x), b(x)) over GF(2), polynomials packed in ints
+    (bit i is the coefficient of x^i); at least one must be non-zero."""
+    while b:
+        while a.bit_length() >= b.bit_length():
+            a ^= b << (a.bit_length() - b.bit_length())
+        a, b = b, a
+    return a.bit_length() - 1
 
 
-def _is_idempotent_circulant(c: int, k: int) -> bool:
-    """Whether the circulant with first row ``c`` squares to itself,
-    via the cyclic self-convolution of the first row."""
-    acc = 0
-    rest = c
-    while rest:
-        low = rest & -rest
-        acc ^= _rotl(c, low.bit_length() - 1, k)
-        rest ^= low
-    return acc == c
+def _aperiodic(c: int, k: int) -> bool:
+    """Whether no proper rotation fixes the row ``c``, i.e. whether the
+    rows of its k x k circulant are pairwise distinct."""
+    mask = (1 << k) - 1
+    return all(((c << d | c >> (k - d)) & mask) != c for d in range(1, k) if k % d == 0)
 
 
 def enum_cyclic_gram(k: int) -> list[CirculantGram]:
@@ -185,16 +181,25 @@ def enum_cyclic_gram(k: int) -> list[CirculantGram]:
     frames of size k, sorted by the integer encoding of the first row.
 
     A first row qualifies iff its circulant is symmetric, idempotent and
-    has only odd columns.
+    has only odd columns.  For k = 2^a m with m odd these rows are the
+    unions of orbits of Z_m under t -> 2t and t -> -t that contain 0, with
+    position t lifted to t 2^a (MacWilliams and Sloane, The Theory of
+    Error-Correcting Codes, ch. 8): 2^(orbits - 1) rows, refused with
+    ``UnsupportedSize`` above ``CYCLIC_MAX_ENTRIES``.  Each rank is
+    k - deg gcd(c(x), x^k - 1).
     """
     if k < 1:
         raise UnsupportedSize(f"size must be positive, got {k}")
-    survivors = sorted(c for c in _cyclic_candidates(k) if _is_idempotent_circulant(c, k))
-    out = []
-    for c in survivors:
-        row = BinVector(k, c)
-        out.append(CirculantGram(k, row, BinMatrix.circulant(row).rank()))
-    return out
+    a = (k & -k).bit_length() - 1
+    _, *orbits = _coset_orbits(k >> a)
+    count = 1 << len(orbits)
+    if count > CYCLIC_MAX_ENTRIES:
+        raise UnsupportedSize(f"the cyclic catalog for k={k} has {count} entries, over the limit {CYCLIC_MAX_ENTRIES}")
+    rows = [1]
+    for orbit in orbits:
+        mask = sum(1 << (t << a) for t in orbit)
+        rows += [c | mask for c in rows]
+    return [CirculantGram(k, BinVector(k, c), k - _gcd_degree((1 << k) | 1, c)) for c in sorted(rows)]
 
 
 def enum_nonrepeating(k: int) -> list[NonRepeatingPair]:
@@ -206,10 +211,6 @@ def enum_nonrepeating(k: int) -> list[NonRepeatingPair]:
     """
     pairs = []
     for cg in enum_cyclic_gram(k):
-        if cg.rank >= k:
-            continue
-        matrix = cg.matrix()
-        if len(set(matrix.data)) != k:
-            continue
-        pairs.append(NonRepeatingPair(cg, factor_gram(GramCandidate(matrix)).theta))
+        if cg.rank < k and _aperiodic(cg.first_row.bits, k):
+            pairs.append(NonRepeatingPair(cg, factor_gram(GramCandidate(cg.matrix())).theta))
     return pairs

@@ -4,9 +4,9 @@ Every operation of the library is reachable as a subcommand working on
 matrix documents in any of the three wire formats (see ``formats``).
 Exit codes separate three outcomes so scripts can branch without parsing
 output: 0 success, 1 mathematical negative (not Parseval, no complement,
-not a Gram matrix, not equivalent), 2 malformed input or usage.  In JSON
-mode, negatives come with a machine-readable witness object on the output
-stream; other modes print a one-line reason to stderr.
+not a Gram matrix, not equivalent), 2 malformed input, usage, a size over
+its limit or an internal error.  In JSON mode, negatives come with a
+machine-readable witness object; other modes print a reason to stderr.
 """
 
 from __future__ import annotations
@@ -357,6 +357,9 @@ def run(argv: list[str]) -> int:
         return 2
     except BinFrameError as e:
         print(f"{PROG}: error: {e}", file=sys.stderr)
+        return 2
+    except RuntimeError as e:  # a broken internal check must not read as a "no"
+        print(f"{PROG}: internal error: {e}", file=sys.stderr)
         return 2
     finally:
         if opened:

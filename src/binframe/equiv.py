@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import DimensionError, InvalidInput, ShapeError
+from .errors import DimensionError, InvalidInput, ShapeError, UnsupportedSize
 from .frames import Frame, gram
 from .gf2 import BinMatrix
 
@@ -32,6 +32,7 @@ __all__ = [
 
 MODE_INDEPENDENT = "independent-row-col"
 MODE_CONJUGATION = "conjugation"
+CANON_MAX = 10
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,6 +63,8 @@ def _key_to_row(key: int, cols: int) -> int:
 
 
 def _canon_independent(a: BinMatrix) -> CanonicalMatrix:
+    if a.cols > CANON_MAX:
+        raise UnsupportedSize(f"canonical form supports at most {CANON_MAX} columns, got {a.cols}")
     best_keys: tuple[int, ...] | None = None
     best_rows: tuple[int, ...] = ()
     best_cols: tuple[int, ...] = ()
@@ -80,6 +83,8 @@ def _canon_independent(a: BinMatrix) -> CanonicalMatrix:
 
 def _canon_conjugation(a: BinMatrix) -> CanonicalMatrix:
     k = a.rows
+    if k > CANON_MAX:
+        raise UnsupportedSize(f"conjugation canonical form supports k <= {CANON_MAX}, got {k}")
     best_keys: tuple[int, ...] | None = None
     best_perm: tuple[int, ...] = ()
     for perm in itertools.permutations(range(k)):
@@ -97,7 +102,8 @@ def canonical_form(a: BinMatrix, mode: str = MODE_INDEPENDENT) -> CanonicalMatri
 
     ``independent-row-col`` searches over all row and column permutations;
     ``conjugation`` over single permutations applied to rows and columns
-    simultaneously (square matrices only).
+    simultaneously (square matrices only).  More than ``CANON_MAX``
+    permuted indices raise ``UnsupportedSize``.
     """
     if mode == MODE_INDEPENDENT:
         return _canon_independent(a)

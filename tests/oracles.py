@@ -180,6 +180,18 @@ def rank_int_rows(rows: tuple[int, ...]) -> int:
     return r
 
 
+def int_product_rows(a_rows: tuple[int, ...], b_rows: tuple[int, ...]) -> tuple[int, ...]:
+    """Rows of A B: row i is the XOR of the rows of B that row i of A selects."""
+    out = []
+    for row in a_rows:
+        acc = 0
+        for r, b in enumerate(b_rows):
+            if (row >> r) & 1:
+                acc ^= b
+        out.append(acc)
+    return tuple(out)
+
+
 def circulant_int_rows(c: int, k: int) -> tuple[int, ...]:
     """Rows of the circulant C[i][j] = c[(j - i) mod k]: row i is c rotated
     i places towards higher indices."""
@@ -200,6 +212,35 @@ def symmetric_circulant_first_rows(k: int) -> list[int]:
     return sorted(out)
 
 
+def scan_cyclic_grams(k: int) -> list[tuple[int, int]]:
+    """(first row, rank) of every symmetric idempotent circulant with odd
+    columns, ascending by first row, by a scan of about 2^(k/2) rows.
+
+    Symmetry forces c_i = c_{(k-i) mod k}, so the row is fixed by the pairs
+    {i, k-i} it contains; odd weight then forces c_0 = 1 and, for even k,
+    c_{k/2} = 0.  A candidate is kept when its cyclic self-convolution,
+    row 0 of C C, equals it; the rank is taken on the k x k circulant.
+    """
+    mask = (1 << k) - 1
+    pairs = [(i, k - i) for i in range(1, (k + 1) // 2)]
+    out = []
+    for free in range(1 << len(pairs)):
+        c = 1
+        for b, (i, j) in enumerate(pairs):
+            if (free >> b) & 1:
+                c |= (1 << i) | (1 << j)
+        square = 0
+        rest = c
+        while rest:
+            low = rest & -rest
+            shift = low.bit_length() - 1
+            square ^= ((c << shift) | (c >> (k - shift))) & mask
+            rest ^= low
+        if square == c:
+            out.append((c, rank_int_rows(circulant_int_rows(c, k))))
+    return sorted(out)
+
+
 def repetition_free_cyclic_grams(k: int) -> list[tuple[int, int, str]]:
     """(k, rank, first row) of every circulant C that is symmetric, has all
     columns odd, satisfies C C = C, has rank below k and pairwise distinct
@@ -211,15 +252,7 @@ def repetition_free_cyclic_grams(k: int) -> list[tuple[int, int, str]]:
         cols = matrix_rows_of_columns(rows, k)  # the transpose, column j as an int
         if cols != rows or not all(popcount_parity(col) for col in cols):
             continue
-        square = []
-        for i in range(k):
-            # row i of C C: the XOR of the rows of C that row i selects
-            acc = 0
-            for r in range(k):
-                if (rows[i] >> r) & 1:
-                    acc ^= rows[r]
-            square.append(acc)
-        if tuple(square) != rows:
+        if int_product_rows(rows, rows) != rows:
             continue
         rank = rank_int_rows(rows)
         if rank >= k or len(set(rows)) != k:

@@ -18,7 +18,16 @@ from binframe import (
     is_parseval,
     odd_columns,
 )
-from oracles import int_dot, rank_int_rows
+from binframe.catalog import _aperiodic
+from oracles import (
+    circulant_int_rows,
+    int_dot,
+    int_product_rows,
+    matrix_rows_of_columns,
+    popcount_parity,
+    rank_int_rows,
+    scan_cyclic_grams,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -153,6 +162,50 @@ def test_cyclic_completeness_brute_force():
             if conv == c:
                 brute.append(bits)
         assert [g.first_row.bits for g in enum_cyclic_gram(k)] == sorted(brute)
+
+
+def test_cyclic_catalog_matches_scan():
+    """The coset construction against the old ~2^(k/2) scan: same first
+    rows in the same order, same ranks; the gcd rank against the matrix
+    rank and the aperiodicity test against distinct matrix rows."""
+    for k in range(1, 37):
+        catalog = enum_cyclic_gram(k)
+        assert [(cg.first_row.bits, cg.rank) for cg in catalog] == scan_cyclic_grams(k)
+        for cg in catalog:
+            matrix = cg.matrix()
+            assert cg.rank == matrix.rank()
+            assert _aperiodic(cg.first_row.bits, k) == (len(set(matrix.data)) == k)
+
+
+def _assert_cyclic_gram_by_definition(cg):
+    rows = circulant_int_rows(cg.first_row.bits, cg.k)
+    cols = matrix_rows_of_columns(rows, cg.k)
+    assert cols == rows
+    assert all(popcount_parity(col) for col in cols)
+    assert int_product_rows(rows, rows) == rows
+    assert rank_int_rows(rows) == cg.rank
+
+
+def test_cyclic_entries_meet_definitions_beyond_scan_range():
+    """Every entry up to k = 36, and at k = 63 and 127 where the scan
+    cannot run, is checked on its k x k circulant with int-only code."""
+    counts = {}
+    for k in [*range(1, 37), 63, 127]:
+        catalog = enum_cyclic_gram(k)
+        counts[k] = len(catalog)
+        rows = [cg.first_row.bits for cg in catalog]
+        assert rows == sorted(set(rows))
+        for cg in catalog:
+            _assert_cyclic_gram_by_definition(cg)
+    assert (counts[63], counts[127]) == (128, 512)
+
+
+def test_cyclic_size_guard():
+    # k = 255 has 20 orbits, so 2^19 entries, over the 2^16 limit
+    with pytest.raises(UnsupportedSize, match="524288 entries"):
+        enum_cyclic_gram(255)
+    with pytest.raises(UnsupportedSize):
+        enum_nonrepeating(255)
 
 
 def test_cyclic_rejects_nonpositive_size():

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -208,7 +209,7 @@ def test_enum_cyclic_nonrepeating_dense(capsys):
 
 
 def test_enum_cyclic_jobs_flag(capsys):
-    """The scan runs in one process; there is no --jobs option."""
+    """The catalog is built in one process; there is no --jobs option."""
     assert run(["enum", "cyclic", "--k", "15", "--jobs", "2"]) == 2
     assert capsys.readouterr().out == ""
 
@@ -219,6 +220,19 @@ def test_enum_cyclic_nonrepeating_cols_int(capsys):
     fields = [int(x) for x in line.split()]
     assert fields[0] == int("111011011"[::-1], 2)  # little-endian encoding of the first row
     assert len(fields) == 1 + 7
+
+
+def test_enum_cyclic_size_guard(capsys):
+    """An oversized catalog is refused at once with exit 2; k = 127 runs."""
+    start = time.monotonic()
+    assert run(["enum", "cyclic", "--k", "511"]) == 2
+    assert time.monotonic() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "536870912 entries" in captured.err
+    assert run(["enum", "cyclic", "--k", "127"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 512 and all(len(line) == 127 for line in lines)
 
 
 def test_enum_output_file(tmp_path, capsys):
@@ -259,6 +273,38 @@ def test_canon_json_certificate(write, capsys):
     assert run(["canon", path_json, "--format", "json", "--mode", "conjugation"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["row_perm"] == doc["col_perm"]
+
+
+def test_canon_size_guard(write, capsys):
+    """Factorial canonical forms above CANON_MAX indices exit 2 at once;
+    the weight-profile screen still answers "no" first."""
+    identity = write("id11.txt", "".join("0" * i + "1" + "0" * (10 - i) + "\n" for i in range(11)))
+    start = time.monotonic()
+    assert run(["canon", identity, "--mode", "conjugation"]) == 2
+    a = write("a.txt", "11100000000\n00011100000\n00000011100\n")
+    b = write("b.txt", "00000000111\n00001110000\n01110000000\n")
+    assert run(["equiv", "perm", a, b]) == 2
+    assert time.monotonic() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error:") == 2
+    c = write("c.txt", "11110000000\n00011100000\n00000011100\n")
+    assert run(["equiv", "perm", a, c]) == 1
+    capsys.readouterr()
+
+
+def test_internal_error_exits_2(write, capsys, monkeypatch):
+    """A failed internal check is not a mathematical "no"."""
+
+    def broken(_):
+        raise RuntimeError("factorization failed its own check")
+
+    monkeypatch.setattr("binframe.cli.factor_gram", broken)
+    path = write("j3.txt", "111\n111\n111\n")
+    assert run(["factor", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "binframe: internal error: factorization failed its own check\n"
 
 
 def test_parse_failure_exit_code(write, capsys):
