@@ -7,14 +7,25 @@ independent row and column permutations, and simultaneous (conjugation)
 permutations.  Switching equivalence of frames reduces to conjugation
 equivalence of their Gram matrices.
 
-The search is brute force over permutations with cheap invariant screens;
-it is intended for the small sizes this package enumerates, not as a
-general graph-isomorphism replacement.
+Both orbits are searched by individualization and refinement with
+automorphism pruning, after McKay & Piperno, "Practical graph isomorphism,
+II", J. Symb. Comput. 60 (2014).  A node of the search is an ordered
+partition: the indices placed so far, then cells of indices that hold a
+known range of positions in an order still open.  The index at the next
+position comes from the first cell, and every later cell is split by that
+index's row, zeros first, which fixes that row of the key.  The search
+enters only the children whose row key is least and drops any prefix
+already worse than the best leaf.  Two leaves with equal keys give an
+automorphism; a child in the orbit of an earlier sibling, under the
+automorphisms found so far that fix the prefix, is skipped, since its
+subtree is the image of one already searched.  Children are tried in
+increasing index order, so the first optimal leaf is the lexicographically
+first optimal permutation.  Independent mode searches the bipartite double
+[[0, A], [Aᵀ, 0]] with the rows before the columns and equal rows merged.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import DimensionError, InvalidInput, ShapeError, UnsupportedSize
@@ -62,39 +73,181 @@ def _key_to_row(key: int, cols: int) -> int:
     return bits
 
 
-def _canon_independent(a: BinMatrix) -> CanonicalMatrix:
+# automorphisms as (image of each index, mask of the indices moved)
+_Generators = list[tuple[list[int], int]]
+
+
+def _members(mask: int):
+    """Set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _orbit_min(v: int, gens: _Generators, fixed: int) -> int:
+    """Least index in the orbit of ``v`` under the generators that move
+    nothing in the mask ``fixed``."""
+    usable = [g for g, support in gens if not support & fixed]
+    seen, todo = 1 << v, [v]
+    while todo:
+        x = todo.pop()
+        for g in usable:
+            y = g[x]
+            if not (seen >> y) & 1:
+                seen |= 1 << y
+                todo.append(y)
+    return (seen & -seen).bit_length() - 1
+
+
+def _search(
+    adj: list[int], cells: list[int], labels: list[int] | None = None
+) -> tuple[list[int], list[int], _Generators]:
+    """Least key over the orderings of the indices that ``cells`` allow.
+
+    ``adj[v]`` is row ``v`` of a square matrix (bit ``u`` is entry
+    (v, u)); ``cells`` are disjoint index masks covering every index, in
+    position order.  An ordering is a permutation ``perm`` listing the
+    indices of each cell in that cell's range of positions; its key is
+    the list of row keys ``_bigendian_key(adj[perm[p]], perm)``, each
+    followed by ``labels[perm[p]]`` as its least significant digit.
+    Returns the least key, the first ordering in increasing lexicographic
+    order that reaches it, and the automorphisms found (each with the mask
+    of the indices it moves), which generate every label-preserving
+    automorphism that maps each cell onto itself.
+    """
+    n = len(adj)
+    labels = labels or [0] * n
+    label_bits = max(labels).bit_length()
+    keys = [0] * n
+    best_keys: list[int] = []
+    best_perm: list[int] = []
+    gens: _Generators = []
+
+    def refine(cells: list[int], w: int) -> list[int]:
+        """Take ``w`` out of the first cell and split every cell by its
+        row, zeros first."""
+        row = adj[w]
+        out = []
+        for cell in (cells[0] ^ (1 << w), *cells[1:]):
+            for part in (cell & ~row, cell & row):
+                if part:
+                    out.append(part)
+        return out
+
+    def visit(prefix: list[int], cells: list[int], fixed: int) -> int:
+        """Search below a node; return the depth to resume at, which the
+        callers above that depth pass on."""
+        start = len(prefix)
+        try:
+            while True:  # walk down while a single child has the least key
+                d = len(prefix)
+                if d == n:
+                    if not best_perm or keys < best_keys:
+                        best_keys[:] = keys
+                        best_perm[:] = prefix
+                        return n
+                    gen = [0] * n
+                    for u, v in zip(best_perm, prefix):
+                        gen[u] = v
+                    gens.append((gen, sum(1 << u for u in range(n) if gen[u] != u)))
+                    # this subtree is the image of the one holding the best leaf
+                    return next(p for p in range(n) if prefix[p] != best_perm[p])
+                first, later = cells[0], cells[1:]
+                keyed = []
+                for w in _members(first):
+                    row = adj[w]
+                    key = 0
+                    if row & fixed:  # else its bits at the placed indices are all 0
+                        for v in prefix:
+                            key = (key << 1) | ((row >> v) & 1)
+                    key = (key << 1) | ((row >> w) & 1)
+                    for cell in (first ^ (1 << w), *later):
+                        if cell:
+                            key = (key << cell.bit_count()) | ((1 << (row & cell).bit_count()) - 1)
+                    keyed.append(((key << label_bits) | labels[w], w))
+                least = min(keyed)[0]
+                if best_perm and keys[:d] == best_keys[:d] and least > best_keys[d]:
+                    return n
+                keys[d] = least
+                tied = [w for key, w in keyed if key == least]
+                if len(tied) > 1:
+                    break
+                prefix.append(tied[0])
+                cells = refine(cells, tied[0])
+                fixed |= 1 << tied[0]
+            for i, w in enumerate(tied):
+                if i and _orbit_min(w, gens, fixed) < w:
+                    continue
+                prefix.append(w)
+                resume = visit(prefix, refine(cells, w), fixed | (1 << w))
+                prefix.pop()
+                if resume < d:
+                    return resume
+            return n
+        finally:
+            del prefix[start:]
+
+    visit([], [cell for cell in cells if cell], 0)
+    return best_keys, best_perm, gens
+
+
+def _search_double(a: BinMatrix, fixed_cols: list[int]) -> tuple[list[int], list[int], _Generators]:
+    """``_search`` on the bipartite double of ``a`` with equal rows merged.
+
+    Index ``i < r``, for ``r`` distinct rows, is the ``i``-th of them,
+    labelled by how few times it occurs; index ``r + j`` is column ``j``.
+    The columns in ``fixed_cols`` take the first column positions, in that
+    order.  A row that occurs more often sorts first among equal keys, as
+    its copies do in the full matrix.
+    """
+    counts: dict[int, int] = {}
+    for row in a.data:
+        counts[row] = counts.get(row, 0) + 1
+    rows = tuple(counts)
+    r = len(rows)
+    adj = [row << r for row in rows] + list(BinMatrix(a.cols, rows).transpose().data)
+    labels = [a.rows - counts[row] for row in rows] + [0] * a.cols
+    rest = (1 << a.cols) - 1
+    for j in fixed_cols:
+        rest &= ~(1 << j)
+    return _search(adj, [(1 << r) - 1, *(1 << (r + j) for j in fixed_cols), rest << r], labels)
+
+
+def _check_cols(a: BinMatrix) -> None:
     if a.cols > CANON_MAX:
         raise UnsupportedSize(f"canonical form supports at most {CANON_MAX} columns, got {a.cols}")
-    best_keys: tuple[int, ...] | None = None
-    best_rows: tuple[int, ...] = ()
-    best_cols: tuple[int, ...] = ()
-    indices = range(a.rows)
-    for col_order in itertools.permutations(range(a.cols)):
-        keyed = sorted((_bigendian_key(a.data[i], col_order), i) for i in indices)
-        keys = tuple(key for key, _ in keyed)
-        if best_keys is None or keys < best_keys:
-            best_keys = keys
-            best_rows = tuple(i for _, i in keyed)
-            best_cols = col_order
-    assert best_keys is not None
-    matrix = BinMatrix(a.cols, tuple(_key_to_row(key, a.cols) for key in best_keys))
-    return CanonicalMatrix(matrix, best_rows, best_cols)
+
+
+def _canon_independent(a: BinMatrix) -> CanonicalMatrix:
+    """The canonical matrix, with the lexicographically first optimal
+    column order and the rows sorted by (key, index) under it."""
+    _check_cols(a)
+    r = len(set(a.data))
+    col_bits = ((1 << a.cols) - 1) << r
+    chosen: list[int] = []
+    _, perm, gens = _search_double(a, chosen)
+    # The optimal column orders that start with ``chosen`` are the images
+    # of ``perm``'s under the automorphisms that fix ``chosen``, and the
+    # search's generators generate those: the least column in the orbit
+    # of ``perm``'s next one is the least that can follow.  Fix it and
+    # search again, until no generator moves a column.
+    while any(support & col_bits for _, support in gens):
+        chosen.append(_orbit_min(perm[r + len(chosen)], gens, 0) - r)
+        _, perm, gens = _search_double(a, chosen)
+    col_perm = tuple(v - r for v in perm[r:])
+    keyed = sorted((_bigendian_key(row, col_perm), i) for i, row in enumerate(a.data))
+    matrix = BinMatrix(a.cols, tuple(_key_to_row(key, a.cols) for key, _ in keyed))
+    return CanonicalMatrix(matrix, tuple(i for _, i in keyed), col_perm)
 
 
 def _canon_conjugation(a: BinMatrix) -> CanonicalMatrix:
     k = a.rows
     if k > CANON_MAX:
         raise UnsupportedSize(f"conjugation canonical form supports k <= {CANON_MAX}, got {k}")
-    best_keys: tuple[int, ...] | None = None
-    best_perm: tuple[int, ...] = ()
-    for perm in itertools.permutations(range(k)):
-        keys = tuple(_bigendian_key(a.data[i], perm) for i in perm)
-        if best_keys is None or keys < best_keys:
-            best_keys = keys
-            best_perm = perm
-    assert best_keys is not None
-    matrix = BinMatrix(k, tuple(_key_to_row(key, k) for key in best_keys))
-    return CanonicalMatrix(matrix, best_perm, best_perm)
+    keys, perm, _ = _search(list(a.data), [(1 << k) - 1])
+    matrix = BinMatrix(k, tuple(_key_to_row(key, k) for key in keys))
+    return CanonicalMatrix(matrix, tuple(perm), tuple(perm))
 
 
 def canonical_form(a: BinMatrix, mode: str = MODE_INDEPENDENT) -> CanonicalMatrix:
@@ -126,7 +279,8 @@ def permutation_equivalent(a: BinMatrix, b: BinMatrix) -> bool:
         raise DimensionError(f"shapes {a.shape} and {b.shape} differ")
     if _weight_profiles(a) != _weight_profiles(b):
         return False
-    return _canon_independent(a).matrix == _canon_independent(b).matrix
+    _check_cols(a)
+    return _search_double(a, [])[0] == _search_double(b, [])[0]
 
 
 def switching_equivalent(f: Frame, g: Frame) -> bool:

@@ -291,6 +291,58 @@ def conjugation_equivalent_brute(a_rows: tuple[int, ...], b_rows: tuple[int, ...
     return False
 
 
+def permute_int_rows(
+    rows: tuple[int, ...], row_perm: tuple[int, ...], col_perm: tuple[int, ...]
+) -> tuple[int, ...]:
+    """Rows of m with m[i][j] = rows[row_perm[i]][col_perm[j]]."""
+    out = []
+    for i in row_perm:
+        bits = 0
+        for j, cj in enumerate(col_perm):
+            bits |= ((rows[i] >> cj) & 1) << j
+        out.append(bits)
+    return tuple(out)
+
+
+def _bigendian(row: int, order: tuple[int, ...]) -> int:
+    key = 0
+    for j in order:
+        key = (key << 1) | ((row >> j) & 1)
+    return key
+
+
+def brute_canonical_form(
+    rows: tuple[int, ...], cols: int, conjugation: bool
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Least orbit member in row-major big-endian order, by trying every
+    permutation, with the certificate ``(matrix, row_perm, col_perm)``.
+
+    Conjugation mode tries every k! simultaneous permutation and keeps the
+    first optimal one in ``itertools.permutations`` order.  Independent
+    mode tries every column order, sorts the rows by (key, index) under
+    it, and keeps the first column order reaching the least sorted keys.
+    """
+    best = None
+    if conjugation:
+        for perm in itertools.permutations(range(len(rows))):
+            keys = []
+            for i in perm:
+                keys.append(_bigendian(rows[i], perm))
+                if best is not None and keys > best[0][: len(keys)]:
+                    break  # already worse: the rest cannot make it smaller
+            else:
+                if best is None or keys < best[0]:
+                    best = (keys, perm, perm)
+    else:
+        for col_perm in itertools.permutations(range(cols)):
+            keyed = sorted((_bigendian(row, col_perm), i) for i, row in enumerate(rows))
+            keys = [key for key, _ in keyed]
+            if best is None or keys < best[0]:
+                best = (keys, tuple(i for _, i in keyed), col_perm)
+    _, row_perm, col_perm = best
+    return permute_int_rows(rows, row_perm, col_perm), row_perm, col_perm
+
+
 # -- the construction as it was first written: Gauss-Jordan solved afresh
 # at every step.  The package now grows one echelon instead; these keep
 # the old path as the reference its outputs must match bit for bit.

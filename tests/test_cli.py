@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: subcommands, formats, exit codes."""
 
+import ast
 import json
 import os
 import subprocess
@@ -10,7 +11,14 @@ from pathlib import Path
 import pytest
 
 from binframe.cli import run
-from oracles import circulant_int_rows, gram_of_columns, int_dot, matrix_rows_of_columns
+from oracles import (
+    brute_canonical_form,
+    circulant_int_rows,
+    gram_of_columns,
+    int_dot,
+    matrix_rows_of_columns,
+    permute_int_rows,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -293,6 +301,37 @@ def test_canon_size_guard(write, capsys):
     capsys.readouterr()
 
 
+def _json_matrix(rows):
+    return json.dumps({"rows": len(rows), "cols": len(rows[0]), "data": rows})
+
+
+def test_canon_symmetric_inputs_finish(write, capsys):
+    """Inputs at the size limit with large automorphism groups (I, J and
+    J - I are all twin rows and twin columns) finish at once in both
+    modes, and each certificate maps the input onto the printed matrix."""
+    k = 10
+    inputs = {
+        "identity": ["".join("1" if j == i else "0" for j in range(k)) for i in range(k)],
+        "ones": ["1" * k] * k,
+        "hollow-ones": ["".join("0" if j == i else "1" for j in range(k)) for i in range(k)],
+        "shift": ["".join("1" if j == (i + 1) % k else "0" for j in range(k)) for i in range(k)],
+    }
+    cases = [(name, mode) for name in inputs for mode in ("conjugation", "independent-row-col")]
+    inputs["ones-12x10"] = ["1" * k] * 12
+    cases.append(("ones-12x10", "independent-row-col"))
+    for name, mode in cases:
+        rows = inputs[name]
+        path = write(f"{name}.json", _json_matrix(rows))
+        start = time.monotonic()
+        assert run(["canon", path, "--format", "json", "--mode", mode]) == 0
+        assert time.monotonic() - start < 1.0, (name, mode)
+        doc = json.loads(capsys.readouterr().out)
+        rp, cp = doc["row_perm"], doc["col_perm"]
+        assert sorted(rp) == list(range(len(rows))) and sorted(cp) == list(range(k))
+        assert mode == "independent-row-col" or rp == cp
+        assert doc["matrix"]["data"] == ["".join(rows[i][j] for j in cp) for i in rp]
+
+
 def test_internal_error_exits_2(write, capsys, monkeypatch):
     """A failed internal check is not a mathematical "no"."""
 
@@ -372,8 +411,10 @@ def _assert_factors(theta_lines, m_rows):
 
 def test_cli_results_hold_under_python_O(write):
     """With asserts stripped, every construction still returns checked
-    results: factor (including a fallback seed), complement, extend, and
-    the k = 15 repetition-free catalog against tests/data/nonrepeating."""
+    results: factor (including a fallback seed), complement, extend, the
+    k = 15 repetition-free catalog against tests/data/nonrepeating, a
+    conjugation canonical form against the exhaustive search, and both
+    answers of equiv switching."""
     c9 = circulant_int_rows(int("111011011"[::-1], 2), 9)
     fallback = (1, 0b1100, 0b1010, 0b0110)  # diag(1, hollow ones): its odd column cannot seed
     for k, m_rows in ((9, c9), (4, fallback)):
@@ -414,3 +455,27 @@ def test_cli_results_hold_under_python_O(write):
         assert len(set(theta_lines)) == 15
         _assert_factors(theta_lines, circulant_int_rows(int(first_row[::-1], 2), 15))
     assert sorted(emitted) == sorted(reference.items())
+
+    m_rows = permute_int_rows(circulant_int_rows(0b0001011, 7), (3, 6, 0, 5, 1, 4, 2), (3, 6, 0, 5, 1, 4, 2))
+    dense = ["".join(str((r >> j) & 1) for j in range(7)) for r in m_rows]
+    proc = _run_optimized("canon", write("m7.json", _json_matrix(dense)), "--mode", "conjugation", "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    matrix, row_perm, col_perm = brute_canonical_form(m_rows, 7, True)
+    assert doc["matrix"]["data"] == ["".join(str((r >> j) & 1) for j in range(7)) for r in matrix]
+    assert (tuple(doc["row_perm"]), tuple(doc["col_perm"])) == (row_perm, col_perm)
+
+    # b reorders the vectors of a and swaps two coordinates; c has Gram
+    # weight profiles equal to a's, so only the canonical forms tell them apart
+    a = write("fa.txt", "011\n110\n110\n001\n011\n")
+    for text, expected in (("100\n110\n011\n110\n011\n", 0), ("100\n001\n011\n110\n010\n", 1)):
+        proc = _run_optimized("equiv", "switching", a, write("fb.txt", text))
+        assert proc.returncode == expected, proc.stderr
+
+
+def test_package_has_no_assert_statements():
+    """``python -O`` strips asserts, so the package checks with raises."""
+    for path in sorted((ROOT / "src" / "binframe").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not found, f"{path.name}: assert at lines {found}"

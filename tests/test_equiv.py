@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binframe import (
     MODE_CONJUGATION,
@@ -14,11 +16,17 @@ from binframe import (
     Frame,
     ShapeError,
     canonical_form,
+    enum_cyclic_gram,
     gram,
     permutation_equivalent,
     switching_equivalent,
 )
-from oracles import conjugation_equivalent_brute, perm_equivalent_brute
+from oracles import (
+    brute_canonical_form,
+    conjugation_equivalent_brute,
+    perm_equivalent_brute,
+    permute_int_rows,
+)
 
 
 def vec(*bits):
@@ -27,30 +35,6 @@ def vec(*bits):
 
 def cols_matrix(k, ints):
     return BinMatrix.from_cols([BinVector(k, c) for c in ints])
-
-
-def permute(m, row_perm, col_perm):
-    rows = []
-    for i in row_perm:
-        bits = 0
-        for j, cj in enumerate(col_perm):
-            bits |= ((m.data[i] >> cj) & 1) << j
-        rows.append(bits)
-    return BinMatrix(m.cols, tuple(rows))
-
-
-def brute_min_independent(m):
-    """Reference minimum over the full orbit, row-major big-endian order."""
-    best = None
-    for rp in itertools.permutations(range(m.rows)):
-        for cp in itertools.permutations(range(m.cols)):
-            cand = permute(m, rp, cp)
-            key = tuple(
-                tuple(cand.entry(i, j) for j in range(cand.cols)) for i in range(cand.rows)
-            )
-            if best is None or key < best[0]:
-                best = (key, cand)
-    return best[1]
 
 
 def test_certificate_reproduces_canonical_matrix():
@@ -79,12 +63,83 @@ def test_canonical_form_matches_full_exhaustion():
     for _ in range(8):
         rows, cols = rng.randint(1, 4), rng.randint(1, 4)
         m = BinMatrix(cols, tuple(rng.getrandbits(cols) for _ in range(rows)))
-        assert canonical_form(m, MODE_INDEPENDENT).matrix == brute_min_independent(m)
+        expected = BinMatrix(cols, brute_canonical_form(m.data, cols, False)[0])
+        assert canonical_form(m, MODE_INDEPENDENT).matrix == expected
+
+
+def _assert_matches_brute_force(rows, cols, conjugation):
+    mode = MODE_CONJUGATION if conjugation else MODE_INDEPENDENT
+    got = canonical_form(BinMatrix(cols, tuple(rows)), mode)
+    assert (got.matrix.data, got.row_perm, got.col_perm) == brute_canonical_form(tuple(rows), cols, conjugation)
+
+
+def _structured_squares(k):
+    """I, J, J - I, every power of the shift and the cyclic Gram circulants."""
+    full = (1 << k) - 1
+    out = [BinMatrix.identity(k).data, (full,) * k, tuple(full ^ (1 << i) for i in range(k))]
+    power = BinMatrix.identity(k)
+    for _ in range(1, k):
+        power = power @ BinMatrix.shift(k)
+        out.append(power.data)
+    return out + [cg.matrix().data for cg in enum_cyclic_gram(k)]
+
+
+def test_canonical_form_matches_brute_force():
+    """Matrix and both certificate permutations equal the exhaustive
+    search's, tie rules included: every matrix up to 3 x 3, then families
+    rich in automorphisms, twin rows and twin columns."""
+    for r in range(1, 4):
+        for c in range(1, 4):
+            for rows in itertools.product(range(1 << c), repeat=r):
+                _assert_matches_brute_force(rows, c, False)
+                if r == c:
+                    _assert_matches_brute_force(rows, c, True)
+    blocks = []
+    for k in range(1, 9):
+        squares = _structured_squares(k)
+        blocks += [(k, squares[i]) for i in (0, 1, 3)]  # I, J and the shift
+        for rows in squares:
+            _assert_matches_brute_force(rows, k, True)
+            if k <= 7:
+                _assert_matches_brute_force(rows, k, False)
+    for (ka, a), (kb, b) in itertools.product(blocks, repeat=2):
+        if 3 <= ka + kb <= 6:
+            rows = tuple(a) + tuple(row << ka for row in b)
+            _assert_matches_brute_force(rows, ka + kb, True)
+            _assert_matches_brute_force(rows, ka + kb, False)
+    rng = random.Random(61)
+    for _ in range(40):
+        r, c = rng.randint(2, 8), rng.randint(2, 6)
+        base = [rng.getrandbits(c) for _ in range(rng.randint(1, 3))]
+        rows = [rng.choice(base) for _ in range(r)]
+        j, dup = rng.sample(range(c), 2)
+        rows = [row & ~(1 << dup) | ((row >> j) & 1) << dup for row in rows]
+        _assert_matches_brute_force(rows, c, False)
+
+
+@st.composite
+def _twinned_matrices(draw):
+    """(rows, cols, conjugation), rows drawn from a small pool so that
+    twins are common; square ones are often made symmetric like Grams."""
+    conjugation = draw(st.booleans())
+    r = draw(st.integers(1, 7 if conjugation else 8))
+    c = r if conjugation else draw(st.integers(1, 6))
+    pool = draw(st.lists(st.integers(0, (1 << c) - 1), min_size=1, max_size=r))
+    rows = draw(st.lists(st.sampled_from(pool), min_size=r, max_size=r))
+    if conjugation and draw(st.booleans()):
+        rows = [sum(((rows[min(i, j)] >> max(i, j)) & 1) << j for j in range(c)) for i in range(c)]
+    return rows, c, conjugation
+
+
+@given(_twinned_matrices())
+@settings(max_examples=80, deadline=None)
+def test_canonical_form_matches_brute_force_on_random_matrices(case):
+    _assert_matches_brute_force(*case)
 
 
 def test_identity_canonicalizes_to_antidiagonal():
     # the minimal permutation matrix puts its ones bottom-left to top-right
-    expected = brute_min_independent(BinMatrix.identity(4))
+    expected = BinMatrix(4, brute_canonical_form(BinMatrix.identity(4).data, 4, False)[0])
     got = canonical_form(BinMatrix.identity(4), MODE_INDEPENDENT).matrix
     assert got == expected
     assert got == BinMatrix.from_rows([vec(0, 0, 0, 1), vec(0, 0, 1, 0), vec(0, 1, 0, 0), vec(1, 0, 0, 0)])
@@ -103,7 +158,7 @@ def test_conjugation_preserves_cycle_type():
         rng = random.Random(k)
         perm = list(range(k))
         rng.shuffle(perm)
-        conjugated = permute(s, perm, perm)
+        conjugated = BinMatrix(k, permute_int_rows(s.data, perm, perm))
         assert canonical_form(conjugated, MODE_CONJUGATION).matrix == canonical_form(s, MODE_CONJUGATION).matrix
         assert canonical_form(conjugated, MODE_CONJUGATION).matrix != BinMatrix.identity(k)
 
@@ -115,10 +170,10 @@ def test_conjugation_mode_needs_square():
 
 def test_permutation_equivalent_examples():
     m = cols_matrix(4, [7, 11, 13, 14])
-    shuffled = permute(m, (2, 0, 3, 1), (0, 1, 2, 3))
+    shuffled = BinMatrix(4, permute_int_rows(m.data, (2, 0, 3, 1), (0, 1, 2, 3)))
     assert permutation_equivalent(m, shuffled)
     assert not permutation_equivalent(BinMatrix.identity(4), m)
-    rearranged = permute(cols_matrix(4, [11, 7, 14, 13]), (1, 0, 2, 3), (0, 1, 2, 3))
+    rearranged = BinMatrix(4, permute_int_rows(cols_matrix(4, [11, 7, 14, 13]).data, (1, 0, 2, 3), (0, 1, 2, 3)))
     assert permutation_equivalent(m, rearranged)
 
 
@@ -134,10 +189,13 @@ def test_permutation_equivalent_agrees_with_brute_force():
         a = BinMatrix(cols, tuple(rng.getrandbits(cols) for _ in range(rows)))
         b = BinMatrix(cols, tuple(rng.getrandbits(cols) for _ in range(rows)))
         assert permutation_equivalent(a, b) == perm_equivalent_brute(a.data, b.data, cols)
-        shuffled = permute(
-            a,
-            tuple(rng.sample(range(rows), rows)),
-            tuple(rng.sample(range(cols), cols)),
+        shuffled = BinMatrix(
+            cols,
+            permute_int_rows(
+                a.data,
+                tuple(rng.sample(range(rows), rows)),
+                tuple(rng.sample(range(cols), cols)),
+            ),
         )
         assert permutation_equivalent(a, shuffled)
 
