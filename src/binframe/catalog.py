@@ -14,7 +14,9 @@ negation, odd columns odd weight.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import UnsupportedSize
@@ -32,6 +34,15 @@ __all__ = [
 
 ORTHOGONAL_MAX_K = 6
 CYCLIC_MAX_ENTRIES = 2**16
+# Each rank is a gcd of degree-k polynomials on packed ints, costing up
+# to about k^2, so a cyclic catalog is refused when entries x k^2 exceeds
+# this, and so is every k above its square root, 92681.  The slowest
+# admitted catalog, k = 257, takes about 1.4 s.
+CYCLIC_MAX_WORK = 2**33
+# Factoring one entry costs up to about k^3; the repetition-free catalog
+# is refused when entries to factor x k^3 exceeds this (k = 127, just
+# under it, takes about 3 s).
+NONREPEATING_MAX_WORK = 2**30
 
 
 @dataclass(frozen=True, slots=True)
@@ -169,11 +180,43 @@ def _gcd_degree(a: int, b: int) -> int:
     return a.bit_length() - 1
 
 
+@functools.cache
+def _proper_divisors(k: int) -> tuple[int, ...]:
+    return tuple(d for d in range(1, k) if k % d == 0)
+
+
 def _aperiodic(c: int, k: int) -> bool:
     """Whether no proper rotation fixes the row ``c``, i.e. whether the
     rows of its k x k circulant are pairwise distinct."""
     mask = (1 << k) - 1
-    return all(((c << d | c >> (k - d)) & mask) != c for d in range(1, k) if k % d == 0)
+    return all(((c << d | c >> (k - d)) & mask) != c for d in _proper_divisors(k))
+
+
+def _cyclic_rows(k: int) -> list[int]:
+    """The first rows of ``enum_cyclic_gram(k)``, ascending, or
+    ``UnsupportedSize`` when the catalog is over its limits."""
+    if k < 1:
+        raise UnsupportedSize(f"size must be positive, got {k}")
+    if k * k > CYCLIC_MAX_WORK:
+        raise UnsupportedSize(f"the cyclic catalog is limited to k <= {math.isqrt(CYCLIC_MAX_WORK)}, got k={k}")
+    a = (k & -k).bit_length() - 1
+    _, *orbits = _coset_orbits(k >> a)
+    count = 1 << len(orbits)
+    if count > CYCLIC_MAX_ENTRIES:
+        raise UnsupportedSize(f"the cyclic catalog for k={k} has {count} entries, over the limit {CYCLIC_MAX_ENTRIES}")
+    if count * k * k > CYCLIC_MAX_WORK:
+        raise UnsupportedSize(
+            f"the cyclic catalog for k={k} has {count} entries, and entries x k^2 is over the limit {CYCLIC_MAX_WORK}"
+        )
+    rows = [1]
+    for orbit in orbits:
+        mask = sum(1 << (t << a) for t in orbit)
+        rows += [c | mask for c in rows]
+    return sorted(rows)
+
+
+def _circulant_gram(k: int, c: int) -> CirculantGram:
+    return CirculantGram(k, BinVector(k, c), k - _gcd_degree((1 << k) | 1, c))
 
 
 def enum_cyclic_gram(k: int) -> list[CirculantGram]:
@@ -185,21 +228,10 @@ def enum_cyclic_gram(k: int) -> list[CirculantGram]:
     unions of orbits of Z_m under t -> 2t and t -> -t that contain 0, with
     position t lifted to t 2^a (MacWilliams and Sloane, The Theory of
     Error-Correcting Codes, ch. 8): 2^(orbits - 1) rows, refused with
-    ``UnsupportedSize`` above ``CYCLIC_MAX_ENTRIES``.  Each rank is
-    k - deg gcd(c(x), x^k - 1).
+    ``UnsupportedSize`` above ``CYCLIC_MAX_ENTRIES`` or when entries x k^2
+    exceeds ``CYCLIC_MAX_WORK``.  Each rank is k - deg gcd(c(x), x^k - 1).
     """
-    if k < 1:
-        raise UnsupportedSize(f"size must be positive, got {k}")
-    a = (k & -k).bit_length() - 1
-    _, *orbits = _coset_orbits(k >> a)
-    count = 1 << len(orbits)
-    if count > CYCLIC_MAX_ENTRIES:
-        raise UnsupportedSize(f"the cyclic catalog for k={k} has {count} entries, over the limit {CYCLIC_MAX_ENTRIES}")
-    rows = [1]
-    for orbit in orbits:
-        mask = sum(1 << (t << a) for t in orbit)
-        rows += [c | mask for c in rows]
-    return [CirculantGram(k, BinVector(k, c), k - _gcd_degree((1 << k) | 1, c)) for c in sorted(rows)]
+    return [_circulant_gram(k, c) for c in _cyclic_rows(k)]
 
 
 def enum_nonrepeating(k: int) -> list[NonRepeatingPair]:
@@ -207,10 +239,19 @@ def enum_nonrepeating(k: int) -> list[NonRepeatingPair]:
     paired with an analysis matrix factoring it.
 
     Distinct Gram rows decide inclusion: for a spanning frame, rows i and
-    j of the Gram coincide exactly when frame vectors i and j do.
+    j of the Gram coincide exactly when frame vectors i and j do.  The
+    entries are counted before any is factored, and refused with
+    ``UnsupportedSize`` when entries x k^3 exceeds ``NONREPEATING_MAX_WORK``.
     """
+    # the identity is the only idempotent of full rank, so rank < k iff c != 1
+    rows = [c for c in _cyclic_rows(k) if c != 1 and _aperiodic(c, k)]
+    if len(rows) * k**3 > NONREPEATING_MAX_WORK:
+        raise UnsupportedSize(
+            f"the repetition-free catalog for k={k} has {len(rows)} entries to factor, "
+            f"and entries x k^3 is over the limit {NONREPEATING_MAX_WORK}"
+        )
     pairs = []
-    for cg in enum_cyclic_gram(k):
-        if cg.rank < k and _aperiodic(cg.first_row.bits, k):
-            pairs.append(NonRepeatingPair(cg, factor_gram(GramCandidate(cg.matrix())).theta))
+    for c in rows:
+        cg = _circulant_gram(k, c)
+        pairs.append(NonRepeatingPair(cg, factor_gram(GramCandidate(cg.matrix())).theta))
     return pairs

@@ -47,21 +47,25 @@ def parse_vector(text: str) -> BinVector:
     return BinVector(n, bits)
 
 
+def _bits(row: str) -> int:
+    """The int of a string of 0/1 characters, entry 0 leftmost."""
+    return int(row[::-1], 2)
+
+
 def _parse_dense(text: str) -> BinMatrix:
     rows: list[int] = []
     width = None
     for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
+        entries = "".join(line.split())
+        if not entries:
             continue
-        bits = 0
-        n = 0
-        for col, ch in enumerate(line, start=1):
-            if ch.isspace():
-                continue
-            if ch not in "01":
-                raise ParseError(f"invalid character {ch!r}", line=lineno, column=col)
-            bits |= (ch == "1") << n
-            n += 1
+        if entries.strip("01"):
+            # only a bad line is walked character by character, for the column
+            for col, ch in enumerate(line, start=1):
+                if not ch.isspace() and ch not in "01":
+                    raise ParseError(f"invalid character {ch!r}", line=lineno, column=col)
+        bits = _bits(entries)
+        n = len(entries)
         if width is None:
             width = n
         elif n != width:
@@ -131,10 +135,7 @@ def _parse_json(text: str) -> BinMatrix:
     for i, rowstr in enumerate(data):
         if not isinstance(rowstr, str) or len(rowstr) != cols or set(rowstr) - {"0", "1"}:
             raise ParseError(f"row {i} must be a string of {cols} 0/1 characters")
-        bits = 0
-        for j, ch in enumerate(rowstr):
-            bits |= (ch == "1") << j
-        packed.append(bits)
+        packed.append(_bits(rowstr))
     return BinMatrix(cols, tuple(packed))
 
 

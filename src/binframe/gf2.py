@@ -97,7 +97,7 @@ class BinVector:
 
     def to_bitstring(self) -> str:
         """Dense text form, entry 0 leftmost: (1,0,1,1) -> '1011'."""
-        return "".join("1" if (self.bits >> i) & 1 else "0" for i in range(self.n))
+        return format(self.bits, f"0{self.n}b")[::-1]
 
     def __str__(self) -> str:
         return self.to_bitstring()
@@ -145,11 +145,7 @@ class BinMatrix:
         for j, v in enumerate(vecs):
             if v.n != k:
                 raise DimensionError(f"column {j} has dimension {v.n}, expected {k}")
-        rows = [0] * k
-        for j, v in enumerate(vecs):
-            for i in range(k):
-                rows[i] |= ((v.bits >> i) & 1) << j
-        return cls(len(vecs), tuple(rows))
+        return cls(k, tuple(v.bits for v in vecs)).transpose()
 
     @classmethod
     def identity(cls, n: int) -> "BinMatrix":
@@ -225,18 +221,27 @@ class BinMatrix:
         return BinVector(self.rows, bits)
 
     def col_vectors(self) -> tuple[BinVector, ...]:
-        return tuple(self.col(j) for j in range(self.cols))
+        return tuple(BinVector(self.rows, c) for c in self.transpose().data)
 
     # -- arithmetic --------------------------------------------------------
 
     def transpose(self) -> "BinMatrix":
-        out = [0] * self.cols
-        for i, r in enumerate(self.data):
+        cols, data = self.cols, self.data
+        # One interpreter step per set bit is cheapest for small or sparse
+        # matrices.  Past 32 x 32 entries with more than two set bits per
+        # row and column on average, column j is read instead as every
+        # cols-th character of the rows' bit strings, last row first.
+        if len(data) * cols > 1024 and sum(map(int.bit_count, data)) > 2 * (len(data) + cols):
+            text = "".join([format(r, f"0{cols}b") for r in reversed(data)])
+            return BinMatrix(len(data), tuple([int(text[j::cols], 2) for j in range(cols - 1, -1, -1)]))
+        out = [0] * cols
+        for i, r in enumerate(data):
+            bit = 1 << i
             while r:
                 low = r & -r
-                out[low.bit_length() - 1] |= 1 << i
+                out[low.bit_length() - 1] |= bit
                 r ^= low
-        return BinMatrix(self.rows, tuple(out))
+        return BinMatrix(len(data), tuple(out))
 
     def __add__(self, other: "BinMatrix") -> "BinMatrix":
         if self.shape != other.shape:
@@ -248,14 +253,17 @@ class BinMatrix:
             raise DimensionError(
                 f"cannot multiply shapes {self.shape} and {other.shape}"
             )
-        # columns of the result read off the transposed right factor
-        bt = other.transpose()
-        out = []
-        for r in self.data:
-            acc = 0
-            for j, c in enumerate(bt.data):
-                acc |= ((r & c).bit_count() & 1) << j
-            out.append(acc)
+        # Four Russians (Arlazarov et al. 1970; Albrecht, Bard and Hart,
+        # ACM TOMS 37(1), 2010): for rows 8g..8g+7 of the right factor a
+        # table of all 256 sums of them, indexed by byte g of a left row.
+        width = (other.rows + 7) // 8
+        left = [r.to_bytes(width, "little") for r in self.data]
+        out = [0] * len(left)
+        for g in range(width):
+            table = [0]
+            for r in other.data[8 * g : 8 * g + 8]:
+                table += [t ^ r for t in table]
+            out = [acc ^ table[row[g]] for acc, row in zip(out, left)]
         return BinMatrix(other.cols, tuple(out))
 
     def mul_vec(self, v: BinVector) -> BinVector:
@@ -273,7 +281,8 @@ class BinMatrix:
         return len(Echelon(self.data))
 
     def to_bitstring_rows(self) -> list[str]:
-        return [self.row(i).to_bitstring() for i in range(self.rows)]
+        fmt = f"0{self.cols}b"
+        return [format(r, fmt)[::-1] for r in self.data]
 
     def __str__(self) -> str:
         return "\n".join(self.to_bitstring_rows())
@@ -379,6 +388,26 @@ class Echelon:
                     vec |= pivot
             basis.append(BinVector(cols, vec))
         return AffineSolutionSet(cols, BinVector(cols, part), tuple(basis))
+
+    def first_two(self, cols: int) -> tuple[int, ...]:
+        """The first members of ``solutions(cols)``, at most two, as ints.
+
+        That is () for an inconsistent system, (particular,) when no
+        column is free, else (particular, particular + first null
+        vector), in one pass over the stored rows instead of building the
+        whole null basis.
+        """
+        if self._pivots >> cols:
+            return ()
+        free = ((1 << cols) - 1) & ~self._pivots
+        bit = free & -free
+        part, null = 0, bit
+        for pivot, r in self._rows.items():
+            if (r >> cols) & 1:
+                part |= pivot
+            if r & bit:
+                null |= pivot
+        return (part, part ^ null) if bit else (part,)
 
 
 def solve(a: BinMatrix, b: BinVector) -> AffineSolutionSet:

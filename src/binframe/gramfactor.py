@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidInput, NotGramMatrix, ShapeError
-from .gf2 import BinMatrix, BinVector
+from .gf2 import BinMatrix, BinVector, Echelon
 from .naimark import _orthonormal_fill
 
 __all__ = [
@@ -101,7 +101,10 @@ def factor_gram(cand: GramCandidate) -> Factorization:
             "all columns even; not the Gram matrix of a Parseval frame",
             witness=tuple(c.bit_count() & 1 for c in m.transpose().data),
         )
-    n = m.rank()
+    # the rows of I + m span ker m, and as m is idempotent, GF(2)^k is
+    # range m + ker m, so rank m = k - rank(I + m)
+    kernel = Echelon((m + BinMatrix.identity(k)).data)
+    n = k - len(kernel)
     # For a non-empty orthonormal set W in range(m), the all-ones vector
     # lies in span(ker m, W) iff sum(W) = m ones (dot with each w in W),
     # and then no further column can be found; so m ones is the sum to
@@ -109,11 +112,10 @@ def factor_gram(cand: GramCandidate) -> Factorization:
     target = m.mul_vec(BinVector.ones(k)).bits
     seed = m.col(odd[0]).bits
     start = [seed] if n == 1 or seed != target else []
-    # the rows of I + m span ker m
-    kernel = (m + BinMatrix.identity(k)).data
     columns = _orthonormal_fill(k, kernel, start, n, target)
 
-    theta = BinMatrix.from_cols([BinVector(k, c) for c in columns])
-    if theta.transpose() @ theta != BinMatrix.identity(n) or theta @ theta.transpose() != m:
+    theta_star = BinMatrix(k, tuple(columns))
+    theta = theta_star.transpose()
+    if theta_star @ theta != BinMatrix.identity(n) or theta @ theta_star != m:
         raise RuntimeError("factorization failed its check theta* theta = I, theta theta* = m")
     return Factorization(theta)

@@ -47,12 +47,18 @@ class OrthonormalSequence:
         for i, v in enumerate(self.vecs):
             if v.n != self.dim:
                 raise DimensionError(f"vector {i} has dimension {v.n}, expected {self.dim}")
-        for i, v in enumerate(self.vecs):
-            if v.parity() != 1:
+        if not self.vecs:
+            return
+        # with the vectors as the rows of V, row i of V V* holds (v_i, v_j)
+        # in bit j; the first defect is reported in the order i = 0, 1, ...:
+        # (v_i, v_i), then (v_i, v_j) for j < i
+        vmat = BinMatrix(self.dim, tuple(v.bits for v in self.vecs))
+        for i, row in enumerate((vmat @ vmat.transpose()).data):
+            if not (row >> i) & 1:
                 raise InvalidInput(f"vector {i} is even, (v,v) = 0 != 1")
-            for j in range(i):
-                if v.dot(self.vecs[j]) != 0:
-                    raise InvalidInput(f"vectors {j} and {i} are not orthogonal")
+            if below := row & ((1 << i) - 1):
+                j = (below & -below).bit_length() - 1
+                raise InvalidInput(f"vectors {j} and {i} are not orthogonal")
 
     @classmethod
     def empty(cls, dim: int) -> "OrthonormalSequence":
@@ -93,19 +99,18 @@ def is_extendable(seq: OrthonormalSequence) -> bool:
 
 
 def _orthonormal_fill(
-    k: int, constraints: Iterable[int], start: Sequence[int], n: int, target: int
+    k: int, system: Echelon, start: Sequence[int], n: int, target: int
 ) -> list[int]:
     """Extend the orthonormal vectors ``start`` in GF(2)^k to ``n`` vectors,
-    each odd, orthogonal to the others and to every row of ``constraints``.
+    each odd, orthogonal to the others and to every row of ``system``.
 
     Each new vector is the first Gray-code-ordered solution of the stacked
     system (constraints; vectors so far; all-ones row) x = (0; 0; 1),
     except that while room remains (s <= n - 2) the unique solution that
     makes the running sum equal ``target`` is skipped: it alone would leave
-    the next system inconsistent.  The system is one echelon that grows by
-    each vector found.
+    the next system inconsistent.  The system is one echelon, holding the
+    constraints on entry, that grows by each vector found.
     """
-    system = Echelon(constraints)
     system.add(((1 << k) - 1) | (1 << k))
     found = list(start)
     total = 0
@@ -113,14 +118,15 @@ def _orthonormal_fill(
         system.add(v)
         total ^= v
     for s in range(len(found), n):
-        for x in system.solutions(k):
-            if s > n - 2 or total ^ x.bits != target:
+        # only one solution can hit the target, so the first two suffice
+        for x in system.first_two(k):
+            if s > n - 2 or total ^ x != target:
                 break
         else:
             raise RuntimeError(f"no admissible vector {s + 1} of {n} in GF(2)^{k}")
-        found.append(x.bits)
-        system.add(x.bits)
-        total ^= x.bits
+        found.append(x)
+        system.add(x)
+        total ^= x
     return found
 
 
@@ -143,7 +149,7 @@ def extend_to_basis(seq: OrthonormalSequence) -> OrthonormalSequence:
         raise ExtensionObstruction(
             f"vector sum is the all-ones vector in GF(2)^{k}", witness=total
         )
-    vecs = _orthonormal_fill(k, (), [v.bits for v in seq.vecs], k, ones.bits)
+    vecs = _orthonormal_fill(k, Echelon(), [v.bits for v in seq.vecs], k, ones.bits)
     # the constructor re-checks orthonormality, which forces the all-ones sum
     return OrthonormalSequence(k, tuple(BinVector(k, v) for v in vecs))
 

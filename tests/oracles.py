@@ -477,3 +477,30 @@ def random_orthonormal_sequence(rng, k: int, r: int) -> list[int]:
                 particular ^= b
         found.append(particular)
     return found
+
+
+def random_orthogonal_rows(rng, k: int) -> list[int]:
+    """Rows of a random k x k orthogonal matrix: a random permutation
+    matrix times k reflections I + m m* with m even, each orthogonal
+    because m* m = 0.  Cheap at any k, unlike drawing vector by vector."""
+    rows = [1 << i for i in range(k)]
+    rng.shuffle(rows)
+    for _ in range(k):
+        m = rng.getrandbits(k)
+        if m.bit_count() & 1:
+            m ^= 1 << rng.randrange(k)
+        # right-multiplying by I + m m* adds m to every row with odd (r, m)
+        rows = [r ^ m if int_dot(r, m) else r for r in rows]
+    return rows
+
+
+def orthonormal_defect(vecs: list[int]) -> str | None:
+    """The first failure of (v_i, v_j) = delta_ij, checked pair by pair in
+    the order i = 0, 1, ...: (v_i, v_i) first, then j = 0, ..., i - 1."""
+    for i, v in enumerate(vecs):
+        if not popcount_parity(v):
+            return f"vector {i} is even, (v,v) = 0 != 1"
+        for j in range(i):
+            if int_dot(v, vecs[j]):
+                return f"vectors {j} and {i} are not orthogonal"
+    return None

@@ -3,6 +3,7 @@
 import ast
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -16,8 +17,10 @@ from oracles import (
     circulant_int_rows,
     gram_of_columns,
     int_dot,
+    int_product_rows,
     matrix_rows_of_columns,
     permute_int_rows,
+    random_orthogonal_rows,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -243,6 +246,26 @@ def test_enum_cyclic_size_guard(capsys):
     assert len(lines) == 512 and all(len(line) == 127 for line in lines)
 
 
+def test_enum_cyclic_work_guards(capsys):
+    """Catalogs within the entry cap whose ranks or factorizations would
+    run for minutes or hours are refused at once with exit 2."""
+    for argv, message in (
+        (["enum", "cyclic", "--k", "1000003"], "k <= 92681"),  # two entries, a quadratic gcd each
+        (["enum", "cyclic", "--k", "60041"], "1024 entries"),  # 1024 such gcds
+        (["enum", "cyclic", "--nonrepeating", "--k", "257"], "65534 entries to factor"),
+        (["enum", "cyclic", "--nonrepeating", "--k", "129"], "1014 entries to factor"),
+    ):
+        start = time.monotonic()
+        assert run(argv) == 2
+        assert time.monotonic() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+    for k in range(1, 37):  # every size the tests and the benchmark factor
+        assert run(["enum", "cyclic", "--nonrepeating", "--k", str(k)]) == 0
+    capsys.readouterr()
+
+
 def test_enum_output_file(tmp_path, capsys):
     target = tmp_path / "out.txt"
     assert run(["enum", "cyclic", "--k", "4", "--output", str(target)]) == 0
@@ -401,6 +424,10 @@ def _dense_rows(lines):
     return tuple(sum(1 << i for i, ch in enumerate(line) if ch == "1") for line in lines)
 
 
+def _dense_text(rows, cols):
+    return "".join("".join(str((r >> j) & 1) for j in range(cols)) + "\n" for r in rows)
+
+
 def _assert_factors(theta_lines, m_rows):
     """theta* theta = I and theta theta* = m, from the definitions."""
     k, n = len(theta_lines), len(theta_lines[0])
@@ -411,15 +438,15 @@ def _assert_factors(theta_lines, m_rows):
 
 def test_cli_results_hold_under_python_O(write):
     """With asserts stripped, every construction still returns checked
-    results: factor (including a fallback seed), complement, extend, the
+    results: factor (including a fallback seed), complement, extend,
+    factor and complement of a random k = 128 Parseval frame, the
     k = 15 repetition-free catalog against tests/data/nonrepeating, a
     conjugation canonical form against the exhaustive search, and both
     answers of equiv switching."""
     c9 = circulant_int_rows(int("111011011"[::-1], 2), 9)
     fallback = (1, 0b1100, 0b1010, 0b0110)  # diag(1, hollow ones): its odd column cannot seed
     for k, m_rows in ((9, c9), (4, fallback)):
-        dense = "".join("".join(str((r >> j) & 1) for j in range(k)) + "\n" for r in m_rows)
-        proc = _run_optimized("factor", write(f"m{k}.txt", dense))
+        proc = _run_optimized("factor", write(f"m{k}.txt", _dense_text(m_rows, k)))
         assert proc.returncode == 0, proc.stderr
         _assert_factors(proc.stdout.split(), m_rows)
 
@@ -464,6 +491,24 @@ def test_cli_results_hold_under_python_O(write):
     matrix, row_perm, col_perm = brute_canonical_form(m_rows, 7, True)
     assert doc["matrix"]["data"] == ["".join(str((r >> j) & 1) for j in range(7)) for r in matrix]
     assert (tuple(doc["row_perm"]), tuple(doc["col_perm"])) == (row_perm, col_perm)
+
+    # a random k = 128 Parseval frame: its Gram factors and it has a complement
+    rng = random.Random(131)
+    k, n = 128, 64
+    while True:
+        theta = [r & ((1 << n) - 1) for r in random_orthogonal_rows(rng, k)]
+        if any(not r.bit_count() & 1 for r in theta):
+            break
+    m_rows = int_product_rows(tuple(theta), matrix_rows_of_columns(tuple(theta), n))
+    proc = _run_optimized("factor", write("m128.txt", _dense_text(m_rows, k)))
+    assert proc.returncode == 0, proc.stderr
+    _assert_factors(proc.stdout.split(), m_rows)
+    proc = _run_optimized("complement", write("theta128.json", _json_matrix(_dense_text(theta, n).split())), "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    psi = _dense_rows(doc["psi"]["data"])
+    block = matrix_rows_of_columns(tuple(t | (p << n) for t, p in zip(theta, psi)), k)
+    assert all(int_dot(block[a], block[b]) == (a == b) for a in range(k) for b in range(k))
 
     # b reorders the vectors of a and swaps two coordinates; c has Gram
     # weight profiles equal to a's, so only the canonical forms tell them apart

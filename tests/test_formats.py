@@ -1,6 +1,7 @@
 """Wire format round-trips and parse diagnostics."""
 
 import json
+import random
 
 import pytest
 from hypothesis import given
@@ -123,3 +124,44 @@ def test_unknown_format():
         parse_matrix("1", "yaml")
     with pytest.raises(ParseError):
         render_matrix(BinMatrix.identity(2), "yaml")
+
+
+# -- wide rows ----------------------------------------------------------------
+
+
+def _old_dense_error(text):
+    """(message, line, column) of the first invalid character, found one
+    character at a time as the dense parser always has."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        for col, ch in enumerate(line, start=1):
+            if not ch.isspace() and ch not in "01":
+                return f"invalid character {ch!r}", lineno, col
+    return None
+
+
+def test_invalid_character_deep_in_wide_rows():
+    rng = random.Random(401)
+    rows = ["".join(rng.choice("01") for _ in range(1024)) for _ in range(4)]
+    for bad, where in (("x", 1000), ("2", 1023), ("١", 517), ("_", 3), ("+", 0)):
+        spaced = [" ".join(r) for r in rows]  # whitespace between entries shifts the column
+        spaced[2] = spaced[2][: 2 * where] + bad + spaced[2][2 * where + 1 :]
+        for text in ("\n".join(rows[:2] + [rows[2][:where] + bad + rows[2][where + 1 :]] + rows[3:]), "\n\n".join(spaced)):
+            expected = _old_dense_error(text)
+            with pytest.raises(ParseError) as err:
+                parse_matrix(text, "dense")
+            assert (str(err.value), err.value.line, err.value.column) == expected
+
+        data = list(rows)
+        data[2] = data[2][:where] + bad + data[2][where + 1 :]
+        with pytest.raises(ParseError) as err:
+            parse_matrix(json.dumps({"rows": 4, "cols": 1024, "data": data}), "json")
+        assert (str(err.value), err.value.line, err.value.column) == ("row 2 must be a string of 1024 0/1 characters", 0, 0)
+
+
+def test_wide_matrix_round_trips_through_every_format():
+    rng = random.Random(409)
+    m = BinMatrix(1024, tuple(rng.getrandbits(1024) for _ in range(1024)))
+    for fmt in ("dense", "cols-int", "json"):
+        assert parse_matrix(render_matrix(m, fmt), fmt) == m
+    rows = render_matrix(m, "dense").split()
+    assert all(int(line[::-1], 2) == r for line, r in zip(rows, m.data))

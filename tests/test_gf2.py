@@ -13,7 +13,8 @@ from binframe import (
     DimensionError,
     solve,
 )
-from oracles import gauss_jordan_solve
+from binframe.gf2 import Echelon
+from oracles import gauss_jordan_solve, int_product_rows, matrix_rows_of_columns
 
 
 def vec(*bits):
@@ -305,3 +306,72 @@ def test_solve_and_rank_match_gauss_jordan(system):
     else:
         assert sols.particular == BinVector(a.cols, particular)
         assert [v.bits for v in sols.nullbasis] == basis
+
+
+# -- word-parallel kernels against int-only definitions ----------------------
+
+# inner dimensions (rows of the right factor) on both sides of each 8-row table
+KERNEL_SIZES = (1, 2, 7, 8, 9, 16, 17, 31, 33, 63, 64, 65, 100, 130)
+
+
+def _random_rows(rng, rows, cols, density):
+    return tuple(sum(1 << j for j in range(cols) if rng.random() < density) for _ in range(rows))
+
+
+def test_matmul_matches_int_product_on_random_shapes():
+    """Four Russians products equal the row-by-row XOR definition for 1 x N,
+    N x 1, inner sizes that are not multiples of 8 and k up to 130."""
+    rng = random.Random(101)
+    shapes = [(1, c, s) for c in KERNEL_SIZES for s in (1, 5, 130)]
+    shapes += [(r, c, 1) for r in KERNEL_SIZES for c in (1, 9, 65)]
+    shapes += [(k, k, k) for k in KERNEL_SIZES]
+    shapes += [(rng.randint(1, 130), rng.choice(KERNEL_SIZES), rng.randint(1, 130)) for _ in range(40)]
+    for r, c, s in shapes:
+        for density in (0.05, 0.5, 0.95):
+            a = _random_rows(rng, r, c, density)
+            b = _random_rows(rng, c, s, rng.choice((0.05, 0.5, 0.95)))
+            assert (BinMatrix(c, a) @ BinMatrix(s, b)).data == int_product_rows(a, b), (r, c, s)
+
+
+def test_transpose_matches_int_definition():
+    """Both transpose paths (one step per set bit, and strided bit strings
+    for dense matrices past 32 x 32) equal the entrywise definition."""
+    rng = random.Random(103)
+    shapes = [(r, c) for r in KERNEL_SIZES for c in KERNEL_SIZES]
+    shapes += [(1, 1500), (1500, 1), (32, 32), (33, 32), (32, 33), (200, 7)]
+    for r, c in shapes:
+        for density in (0.0, 0.02, 0.1, 0.5, 1.0):
+            rows = _random_rows(rng, r, c, density)
+            expected = matrix_rows_of_columns(rows, c)  # the matrix whose columns are these rows
+            assert BinMatrix(c, rows).transpose().data == expected, (r, c, density)
+
+
+@st.composite
+def echelon_systems(draw):
+    """(rows, cols): stacked equations with the right-hand side in bit
+    ``cols``; consistent and inconsistent systems, and full column rank."""
+    cols = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(("random", "consistent", "no free column")))
+    if kind == "no free column":
+        x = draw(st.integers(0, (1 << cols) - 1))
+        rows = [(1 << j) | (((x >> j) & 1) << cols) for j in range(cols)]
+        extra = draw(st.lists(st.integers(0, (1 << cols) - 1), max_size=4))
+        rows += [e | (((e & x).bit_count() & 1) << cols) for e in extra]
+    elif kind == "consistent":
+        x = draw(st.integers(0, (1 << cols) - 1))
+        eqs = draw(st.lists(st.integers(0, (1 << cols) - 1), max_size=14))
+        rows = [e | (((e & x).bit_count() & 1) << cols) for e in eqs]
+    else:
+        rows = draw(st.lists(st.integers(0, (1 << (cols + 1)) - 1), max_size=14))
+    return draw(st.permutations(rows)), cols
+
+
+@given(echelon_systems())
+@settings(max_examples=400)
+def test_first_two_equals_head_of_solution_set(system):
+    """The two-member read gives the first two Gray-code members of the
+    whole solution set: none when inconsistent, one with no free column."""
+    rows, cols = system
+    echelon = Echelon(rows)
+    head = [v.bits for v in echelon.solutions(cols)][:2]
+    assert list(echelon.first_two(cols)) == head

@@ -1,6 +1,7 @@
 """Gram matrix recognition and factorization."""
 
 import itertools
+import random
 
 import pytest
 
@@ -23,6 +24,10 @@ from oracles import (
     all_symmetric_idempotent,
     factorization_exists_full_brute,
     gram_of_columns,
+    int_dot,
+    int_product_rows,
+    matrix_rows_of_columns,
+    random_orthogonal_rows,
     random_orthonormal_sequence,
     rank_int_rows,
     reference_factor_gram,
@@ -234,3 +239,27 @@ def test_factor_matches_per_step_reference_on_random_grams():
         cases.append((inner + 1, rows))
     for k, rows in cases:
         assert _theta_cols(BinMatrix(k, rows)) == reference_factor_gram(rows, k), rows
+
+
+def test_factor_matches_per_step_reference_at_larger_k():
+    """Random Parseval Grams at k = 48..64 factor into exactly the columns
+    of the per-step reference."""
+    rng = random.Random(307)
+    for k in (48, 53, 57, 60, 64):
+        n = rng.randint(k // 4, 3 * k // 4)
+        cols = tuple(r & ((1 << n) - 1) for r in random_orthogonal_rows(rng, k))
+        m = gram_of_columns(matrix_rows_of_columns(cols, n), k)
+        assert _theta_cols(BinMatrix(k, m)) == reference_factor_gram(m, k), (k, n)
+
+
+def test_factor_at_k512_meets_definitions():
+    """theta* theta = I and theta theta* = m at k = 512, by int-only code."""
+    rng = random.Random(311)
+    k, n = 512, 256
+    theta_in = [r & ((1 << n) - 1) for r in random_orthogonal_rows(rng, k)]
+    m = int_product_rows(tuple(theta_in), matrix_rows_of_columns(tuple(theta_in), n))
+    theta = factor_gram(GramCandidate(BinMatrix(k, m))).theta
+    assert theta.shape == (k, n)
+    cols = matrix_rows_of_columns(theta.data, n)
+    assert all(int_dot(cols[a], cols[b]) == (a == b) for a in range(n) for b in range(n))
+    assert int_product_rows(theta.data, cols) == m

@@ -21,6 +21,10 @@ from binframe import (
 from oracles import (
     all_orthonormal_sets,
     complement_exists_brute,
+    int_dot,
+    matrix_rows_of_columns,
+    orthonormal_defect,
+    random_orthogonal_rows,
     random_orthonormal_sequence,
     reference_extend_to_basis,
 )
@@ -230,3 +234,57 @@ def test_has_complement_against_brute_force_small():
             for cols in all_orthonormal_sets(k, n):
                 theta = cols_matrix(k, list(cols))
                 assert has_naimark_complement(theta) == complement_exists_brute(cols, k)
+
+
+# -- large k ----------------------------------------------------------------
+
+
+def test_orthonormality_messages_at_large_k():
+    """The one-product check reports the first defect of the pairwise
+    loop, with the same message, at k >= 64."""
+    rng = random.Random(211)
+    for k in (64, 97, 128):
+        basis = random_orthogonal_rows(rng, k)
+        cases = []
+        for _ in range(12):
+            vecs = list(basis[: rng.randint(4, k)])
+            for _ in range(rng.randint(1, 3)):
+                i = rng.randrange(len(vecs))
+                a, b, c = rng.sample(vecs, 3)
+                # even: a sum of two basis vectors; odd but not orthogonal: of three
+                vecs[i] = a ^ b if rng.getrandbits(1) else a ^ b ^ c
+            cases.append(vecs)
+        cases.append(list(basis[:10]) + [basis[3] ^ basis[5] ^ basis[7]] + list(basis[20:40]))
+        cases.append(list(basis[:50]) + [basis[60] ^ basis[61]] + [basis[0] ^ basis[1] ^ basis[2]])
+        for vecs in cases:
+            expected = orthonormal_defect(vecs)
+            assert expected is not None
+            with pytest.raises(InvalidInput) as err:
+                OrthonormalSequence(k, tuple(BinVector(k, v) for v in vecs))
+            assert str(err.value) == expected
+
+
+def test_complement_and_extend_at_k512_meet_definitions():
+    """At k = 512, checked with int-only code: (theta | psi) has
+    orthonormal columns, and extend keeps the given rows and returns an
+    orthonormal basis."""
+    rng = random.Random(223)
+    k, n = 512, 256
+    while True:
+        basis = random_orthogonal_rows(rng, k)
+        theta = [r & ((1 << n) - 1) for r in basis]
+        if any(not r.bit_count() & 1 for r in theta):  # an even row: a complement exists
+            break
+    psi = naimark_complement(BinMatrix(n, tuple(theta)))
+    assert psi.shape == (k, k - n)
+    block = matrix_rows_of_columns(tuple(t | (p << n) for t, p in zip(theta, psi.data)), k)
+    assert all(int_dot(block[a], block[b]) == (a == b) for a in range(k) for b in range(k))
+
+    prefix = random_orthogonal_rows(rng, k)[:300]
+    total = 0
+    for v in prefix:
+        total ^= v
+    assert total != (1 << k) - 1
+    ext = [v.bits for v in extend_to_basis(OrthonormalSequence(k, tuple(BinVector(k, v) for v in prefix))).vecs]
+    assert ext[:300] == prefix and len(ext) == k
+    assert all(int_dot(ext[a], ext[b]) == (a == b) for a in range(k) for b in range(k))
