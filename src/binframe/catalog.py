@@ -33,11 +33,11 @@ __all__ = [
 ]
 
 ORTHOGONAL_MAX_K = 6
-CYCLIC_MAX_ENTRIES = 2**16
 # Each rank is a gcd of degree-k polynomials on packed ints, costing up
 # to about k^2, so a cyclic catalog is refused when entries x k^2 exceeds
 # this, and so is every k above its square root, 92681.  The slowest
-# admitted catalog, k = 257, takes about 1.4 s.
+# admitted catalog, k = 257, takes about 1.4 s.  No k <= 256 has more than
+# 2^16 entries, so no admitted catalog has more either.
 CYCLIC_MAX_WORK = 2**33
 # Factoring one entry costs up to about k^3; the repetition-free catalog
 # is refused when entries to factor x k^3 exceeds this (k = 127, just
@@ -202,8 +202,6 @@ def _cyclic_rows(k: int) -> list[int]:
     a = (k & -k).bit_length() - 1
     _, *orbits = _coset_orbits(k >> a)
     count = 1 << len(orbits)
-    if count > CYCLIC_MAX_ENTRIES:
-        raise UnsupportedSize(f"the cyclic catalog for k={k} has {count} entries, over the limit {CYCLIC_MAX_ENTRIES}")
     if count * k * k > CYCLIC_MAX_WORK:
         raise UnsupportedSize(
             f"the cyclic catalog for k={k} has {count} entries, and entries x k^2 is over the limit {CYCLIC_MAX_WORK}"
@@ -228,8 +226,8 @@ def enum_cyclic_gram(k: int) -> list[CirculantGram]:
     unions of orbits of Z_m under t -> 2t and t -> -t that contain 0, with
     position t lifted to t 2^a (MacWilliams and Sloane, The Theory of
     Error-Correcting Codes, ch. 8): 2^(orbits - 1) rows, refused with
-    ``UnsupportedSize`` above ``CYCLIC_MAX_ENTRIES`` or when entries x k^2
-    exceeds ``CYCLIC_MAX_WORK``.  Each rank is k - deg gcd(c(x), x^k - 1).
+    ``UnsupportedSize`` when entries x k^2 exceeds ``CYCLIC_MAX_WORK``.
+    Each rank is k - deg gcd(c(x), x^k - 1).
     """
     return [_circulant_gram(k, c) for c in _cyclic_rows(k)]
 

@@ -227,11 +227,10 @@ class BinMatrix:
 
     def transpose(self) -> "BinMatrix":
         cols, data = self.cols, self.data
-        # One interpreter step per set bit is cheapest for small or sparse
-        # matrices.  Past 32 x 32 entries with more than two set bits per
-        # row and column on average, column j is read instead as every
-        # cols-th character of the rows' bit strings, last row first.
-        if len(data) * cols > 1024 and sum(map(int.bit_count, data)) > 2 * (len(data) + cols):
+        # One interpreter step per set bit is cheapest up to 32 x 32
+        # entries.  Past that, column j is read instead as every cols-th
+        # character of the rows' bit strings, last row first.
+        if len(data) * cols > 1024:
             text = "".join([format(r, f"0{cols}b") for r in reversed(data)])
             return BinMatrix(len(data), tuple([int(text[j::cols], 2) for j in range(cols - 1, -1, -1)]))
         out = [0] * cols

@@ -186,6 +186,8 @@ def naimark_complement(theta: BinMatrix) -> BinMatrix:
             witness=theta.mul_vec(BinVector.ones(theta.cols)),
         )
     k, n = theta.shape
-    seq = OrthonormalSequence(k, theta.col_vectors())
-    ext = extend_to_basis(seq)
-    return BinMatrix.from_cols(ext.vecs[n:])
+    # is_parseval has found the columns orthonormal, and an even frame
+    # vector keeps their sum off all-ones, so only the basis is re-checked
+    vecs = _orthonormal_fill(k, Echelon(), theta.transpose().data, k, (1 << k) - 1)
+    OrthonormalSequence(k, tuple(BinVector(k, v) for v in vecs))
+    return BinMatrix(k, tuple(vecs[n:])).transpose()

@@ -228,6 +228,27 @@ def test_complement_obstruction():
         naimark_complement(BinMatrix.all_ones(3, 1))
 
 
+def test_complement_matches_per_step_reference_on_random_frames():
+    """The complement's columns are exactly the vectors that the per-step
+    construction appends to theta's columns."""
+    rng = random.Random(59)
+    checked = 0
+    for _ in range(120):
+        k = rng.randint(2, 24)
+        n = rng.randint(1, k - 1)
+        cols = random_orthonormal_sequence(rng, k, n)
+        theta = cols_matrix(k, cols)
+        if not has_naimark_complement(theta):
+            with pytest.raises(ExtensionObstruction):
+                naimark_complement(theta)
+            continue
+        psi = naimark_complement(theta)
+        assert psi.shape == (k, k - n)
+        assert [c.bits for c in psi.col_vectors()] == reference_extend_to_basis(cols, k)[n:]
+        checked += 1
+    assert checked >= 80
+
+
 def test_has_complement_against_brute_force_small():
     for k in (2, 3):
         for n in range(1, k):
