@@ -3,19 +3,19 @@ circulant Gram matrices of cyclic Parseval frames, and the
 repetition-free factorizations of the latter.
 
 Orthogonal matrices are searched column by column over odd vectors in
-ascending integer order; the result is capped at k <= 6, the range whose
-class counts have been verified.  Circulant Grams are built, not
-searched.  A circulant is idempotent iff its first row c(x) is an
-idempotent of GF(2)[x]/(x^k - 1); as c(x)^2 = c(x^2), for odd k these are
-the rows constant on the 2-cyclotomic cosets mod k, and for k = 2^a m, m
-odd, the lifts c(x^(2^a)) of those for m.  Symmetry adds constancy under
-negation, odd columns odd weight.
+ascending integer order and grouped by row multiset; the result is
+capped at k <= 6, the range whose class counts have been verified.
+Circulant Grams are built, not searched.  A circulant is idempotent iff
+its first row c(x) is an idempotent of GF(2)[x]/(x^k - 1); as
+c(x)^2 = c(x^2), for odd k these are the rows constant on the
+2-cyclotomic cosets mod k, and for k = 2^a m, m odd, the lifts
+c(x^(2^a)) of those for m.  Symmetry adds constancy under negation, odd
+columns odd weight.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -47,9 +47,9 @@ NONREPEATING_MAX_WORK = 2**30
 
 @dataclass(frozen=True, slots=True)
 class OrthogonalCatalog:
-    """One representative per catalog class of orthogonal k x k matrices
-    (see ``enum_orthogonal`` for the class relation); representatives
-    carry ascending columns."""
+    """One representative per catalog class of orthogonal k x k matrices:
+    a class is a row multiset (see ``enum_orthogonal``), represented by
+    its largest ascending column tuple."""
 
     k: int
     classes: tuple[BinMatrix, ...]
@@ -80,47 +80,18 @@ class NonRepeatingPair:
     theta: BinMatrix
 
 
-def _relabel_columns(cols: tuple[int, ...], perm: tuple[int, ...], k: int) -> tuple[int, ...]:
-    """Apply a coordinate permutation to every column, keeping positions."""
-    out = []
-    for c in cols:
-        moved = 0
-        while c:
-            low = c & -c
-            moved |= 1 << perm[low.bit_length() - 1]
-            c ^= low
-        out.append(moved)
-    return tuple(out)
-
-
-def _sorted_orbit(cols: tuple[int, ...], k: int) -> set[tuple[int, ...]]:
-    """All ascending column tuples reachable by relabeling coordinates.
-
-    Only relabelings that leave the column list ascending are kept: the
-    catalog treats the ascending-column matrix as the object, so a
-    relabeling identifies two entries exactly when it carries one onto the
-    other in place.
-    """
-    orbit = set()
-    for perm in itertools.permutations(range(k)):
-        moved = _relabel_columns(cols, perm, k)
-        if all(moved[i] < moved[i + 1] for i in range(k - 1)):
-            orbit.add(moved)
-    return orbit
-
-
 def enum_orthogonal(k: int) -> OrthogonalCatalog:
     """Catalog of orthogonal k x k matrices, one entry per class.
 
     Entries are matrices with ascending column integers; two are
     identified when a coordinate relabeling (row permutation) carries one
-    onto the other with the ascending order preserved in place.  That
-    partition is finer than full permutation equivalence, which would
+    onto the other with the ascending order preserved in place.  A
+    relabeling moves rows only, so the class key is the row multiset.
+    That partition is finer than full permutation equivalence, which would
     merge some of its classes for k >= 5; its class counts for
     k = 3, 4, 5, 6 are 1, 2, 4, 14.  Each class is represented by its
     largest ascending tuple and classes are listed in ascending order.
-    Supported for 1 <= k <= 6 only: beyond that the counts cannot be
-    cross-checked and the orbit search grows factorially.
+    Supported for 1 <= k <= 6 only, the range whose counts are verified.
     """
     if not 1 <= k <= ORTHOGONAL_MAX_K:
         raise UnsupportedSize(f"orthogonal catalog supports 1 <= k <= {ORTHOGONAL_MAX_K}, got {k}")
@@ -140,19 +111,9 @@ def enum_orthogonal(k: int) -> OrthogonalCatalog:
                 chosen.pop()
 
     extend([], 0)
-
-    seen: set[tuple[int, ...]] = set()
-    reps: list[tuple[int, ...]] = []
-    for cols in found:
-        if cols in seen:
-            continue
-        orbit = _sorted_orbit(cols, k)
-        seen |= orbit
-        reps.append(max(orbit))
-    reps.sort()
-    return OrthogonalCatalog(
-        k, tuple(BinMatrix.from_cols([BinVector(k, c) for c in cols]) for cols in reps)
-    )
+    # found ascends, so the last tuple kept per row multiset is its largest
+    reps = {tuple(sorted(BinMatrix(k, cols).transpose().data)): cols for cols in found}
+    return OrthogonalCatalog(k, tuple(BinMatrix(k, cols).transpose() for cols in sorted(reps.values())))
 
 
 def _coset_orbits(m: int) -> list[set[int]]:

@@ -20,14 +20,12 @@ from . import catalog as cat
 from .equiv import MODE_CONJUGATION, MODE_INDEPENDENT, canonical_form, permutation_equivalent, switching_equivalent
 from .errors import (
     BinFrameError,
-    DimensionError,
     ExtensionObstruction,
     InvalidInput,
     NotGramMatrix,
     NotSpanningError,
     ParseError,
     ShapeError,
-    UnsupportedSize,
 )
 from .frames import Frame, gram, is_orthogonal, is_parseval, reconstruct
 from .formats import FORMATS, parse_matrix, parse_vector, render_matrix
@@ -93,13 +91,9 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _read_file(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
 def _load_matrix(path: str, fmt: str) -> BinMatrix:
-    return parse_matrix(_read_file(path), fmt)
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_matrix(fh.read(), fmt)
 
 
 def _matrix_doc(m: BinMatrix) -> dict:
@@ -237,11 +231,12 @@ def _cmd_enum(args, out: TextIO) -> int:
     if args.kind == "orthogonal":
         if args.nonrepeating:
             raise _UsageError("--nonrepeating applies to `enum cyclic` only")
-        for m in cat.enum_orthogonal(args.k).classes:
+        catalog = cat.enum_orthogonal(args.k)
+        for m, cols in zip(catalog.classes, catalog.column_sets()):
             if args.format == "cols-int":
-                out.write(" ".join(str(c.bits) for c in m.col_vectors()) + "\n")
+                out.write(" ".join(map(str, cols)) + "\n")
             elif args.format == "json":
-                out.write(json.dumps({"k": args.k, "columns": [c.bits for c in m.col_vectors()]}) + "\n")
+                out.write(json.dumps({"k": args.k, "columns": list(cols)}) + "\n")
             else:
                 out.write(render_matrix(m, "dense") + "\n")
         return 0
@@ -346,9 +341,6 @@ def run(argv: list[str]) -> int:
     except ParseError as e:
         where = f" at line {e.line}, column {e.column}" if e.line else ""
         print(f"{PROG}: parse error{where}: {e}", file=sys.stderr)
-        return 2
-    except (DimensionError, ShapeError, UnsupportedSize) as e:
-        print(f"{PROG}: error: {e}", file=sys.stderr)
         return 2
     except (InvalidInput, NotSpanningError) as e:
         return _emit_negative(_Negative(str(e)), args, out)

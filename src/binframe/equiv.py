@@ -2,10 +2,10 @@
 
 Matrices are compared as row-major big-endian bit strings (entry (0,0) is
 the most significant bit) and the canonical form of a matrix is the
-smallest member of its orbit in that order.  Two orbits are used:
-independent row and column permutations, and simultaneous (conjugation)
-permutations.  Switching equivalence of frames reduces to conjugation
-equivalence of their Gram matrices.
+smallest member of its orbit in that order.  Two orbits are used: a row
+permutation with an independent column permutation, and one permutation
+applied to both (conjugation).  Switching equivalence of frames reduces
+to conjugation equivalence of their Gram matrices.
 
 Both orbits are searched by individualization and refinement with
 automorphism pruning, after McKay & Piperno, "Practical graph isomorphism,
@@ -48,7 +48,8 @@ CANON_MAX = 10
 
 @dataclass(frozen=True, slots=True)
 class CanonicalMatrix:
-    """Minimal orbit member plus the permutations that produce it.
+    """Minimal orbit member plus the row and column permutation that
+    produce it.
 
     ``matrix[i][j] == original[row_perm[i]][col_perm[j]]``.
     """
@@ -253,10 +254,10 @@ def _canon_conjugation(a: BinMatrix) -> CanonicalMatrix:
 def canonical_form(a: BinMatrix, mode: str = MODE_INDEPENDENT) -> CanonicalMatrix:
     """Minimal orbit element under the fixed matrix order.
 
-    ``independent-row-col`` searches over all row and column permutations;
-    ``conjugation`` over single permutations applied to rows and columns
-    simultaneously (square matrices only).  More than ``CANON_MAX``
-    permuted indices raise ``UnsupportedSize``.
+    ``independent-row-col`` searches over every row permutation paired
+    with every column permutation; ``conjugation`` over one permutation
+    applied to rows and columns simultaneously (square matrices only).
+    More than ``CANON_MAX`` permuted indices raise ``UnsupportedSize``.
     """
     if mode == MODE_INDEPENDENT:
         return _canon_independent(a)
@@ -274,7 +275,8 @@ def _weight_profiles(a: BinMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def permutation_equivalent(a: BinMatrix, b: BinMatrix) -> bool:
-    """Whether independent row and column permutations map ``a`` to ``b``."""
+    """Whether a row permutation and an independent column permutation
+    map ``a`` to ``b``."""
     if a.shape != b.shape:
         raise DimensionError(f"shapes {a.shape} and {b.shape} differ")
     if _weight_profiles(a) != _weight_profiles(b):

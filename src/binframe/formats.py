@@ -28,7 +28,7 @@ __all__ = [
 
 FORMATS = ("dense", "cols-int", "json")
 
-_HEADER_RE = re.compile(r"^k\s*=\s*(\d+)$")
+_HEADER_RE = re.compile(r"^k\s*=\s*([0-9]+)$")
 
 
 def parse_vector(text: str) -> BinVector:
@@ -99,7 +99,7 @@ def _parse_cols_int(text: str) -> BinMatrix:
         col = 1
         for token in line.split():
             col = line.index(token, col - 1) + 1
-            if not token.isdigit():
+            if not (token.isascii() and token.isdigit()):
                 raise ParseError(f"invalid integer {token!r}", line=lineno, column=col)
             value = int(token)
             if value >= (1 << k):
@@ -127,7 +127,7 @@ def _parse_json(text: str) -> BinMatrix:
         data = doc["data"]
     except KeyError as e:
         raise ParseError(f"missing field {e.args[0]!r}") from e
-    if not (isinstance(rows, int) and isinstance(cols, int) and rows > 0 and cols > 0):
+    if not (type(rows) is int and type(cols) is int and rows > 0 and cols > 0):
         raise ParseError("rows and cols must be positive integers")
     if not isinstance(data, list) or len(data) != rows:
         raise ParseError(f"data must list exactly {rows} row strings")

@@ -133,10 +133,6 @@ class BinMatrix:
         return cls(cols, tuple(v.bits for v in vecs))
 
     @classmethod
-    def from_ints(cls, rows: Sequence[int], cols: int) -> "BinMatrix":
-        return cls(cols, tuple(rows))
-
-    @classmethod
     def from_cols(cls, columns: Sequence[BinVector | Iterable[int]]) -> "BinMatrix":
         vecs = [c if isinstance(c, BinVector) else BinVector.from_bits(c) for c in columns]
         if not vecs:

@@ -99,7 +99,7 @@ def factor_gram(cand: GramCandidate) -> Factorization:
     if not odd:
         raise NotGramMatrix(
             "all columns even; not the Gram matrix of a Parseval frame",
-            witness=tuple(c.bit_count() & 1 for c in m.transpose().data),
+            witness=(0,) * k,
         )
     # the rows of I + m span ker m, and as m is idempotent, GF(2)^k is
     # range m + ker m, so rank m = k - rank(I + m)

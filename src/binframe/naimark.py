@@ -180,12 +180,12 @@ def naimark_complement(theta: BinMatrix) -> BinMatrix:
     orthonormal columns is orthogonal, so gram(theta) + gram(psi) = I.
     Raises ExtensionObstruction when every frame vector is odd.
     """
-    if not has_naimark_complement(theta):
-        raise ExtensionObstruction(
-            "every frame vector is odd; no complement exists",
-            witness=theta.mul_vec(BinVector.ones(theta.cols)),
-        )
     k, n = theta.shape
+    if not has_naimark_complement(theta):
+        # the check has just found theta @ ones == ones
+        raise ExtensionObstruction(
+            "every frame vector is odd; no complement exists", witness=BinVector.ones(k)
+        )
     # is_parseval has found the columns orthonormal, and an even frame
     # vector keeps their sum off all-ones, so only the basis is re-checked
     vecs = _orthonormal_fill(k, Echelon(), theta.transpose().data, k, (1 << k) - 1)

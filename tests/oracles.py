@@ -60,6 +60,17 @@ def all_orthonormal_sets(k: int, n: int) -> list[tuple[int, ...]]:
     return out
 
 
+def sorted_relabel_orbit(cols: tuple[int, ...], k: int) -> set[tuple[int, ...]]:
+    """Every ascending column tuple that some coordinate relabeling carries
+    ``cols`` onto in place, by trying all k! relabelings."""
+    orbit = set()
+    for perm in itertools.permutations(range(k)):
+        moved = tuple(sum(((c >> i) & 1) << perm[i] for i in range(k)) for c in cols)
+        if all(a < b for a, b in zip(moved, moved[1:])):
+            orbit.add(moved)
+    return orbit
+
+
 def gram_of_columns(cols: tuple[int, ...], k: int) -> tuple[int, ...]:
     """Rows of theta theta* where theta has the given columns."""
     rows = []

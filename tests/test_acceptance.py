@@ -34,7 +34,6 @@ from binframe import (
     naimark_complement,
     reconstruct,
 )
-from binframe.catalog import _sorted_orbit
 from binframe.cli import run
 from binframe.formats import parse_matrix
 from oracles import (
@@ -47,6 +46,7 @@ from oracles import (
     matrix_rows_of_columns,
     rank_int_rows,
     repetition_free_cyclic_grams,
+    sorted_relabel_orbit,
     symmetric_circulant_first_rows,
 )
 
@@ -81,7 +81,7 @@ def test_criterion_1_orthogonal_catalog():
             assert emitted == rows
             for ref_cols in rows:
                 orbit_hits = [
-                    rep for rep in emitted if ref_cols in _sorted_orbit(rep, k)
+                    rep for rep in emitted if ref_cols in sorted_relabel_orbit(rep, k)
                 ]
                 assert len(orbit_hits) == 1
                 ref_matrix = BinMatrix.from_cols([BinVector(k, c) for c in ref_cols])

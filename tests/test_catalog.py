@@ -20,6 +20,7 @@ from binframe import (
 )
 from binframe.catalog import _aperiodic
 from oracles import (
+    all_orthonormal_sets,
     circulant_int_rows,
     int_dot,
     int_product_rows,
@@ -27,6 +28,7 @@ from oracles import (
     popcount_parity,
     rank_int_rows,
     scan_cyclic_grams,
+    sorted_relabel_orbit,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -76,13 +78,11 @@ def test_orthogonal_size_cap():
 def test_orthogonal_catalog_covers_everything_small():
     """Scan all 2^(k*k) matrices: every orthogonal one must be a
     row/column permutation of some catalog entry."""
-    from binframe.catalog import _sorted_orbit
-
     for k in (2, 3, 4):
         catalog_orbits = []
         for m in enum_orthogonal(k).classes:
             cols = tuple(c.bits for c in m.col_vectors())
-            catalog_orbits.append(_sorted_orbit(cols, k))
+            catalog_orbits.append(sorted_relabel_orbit(cols, k))
         hits = 0
         for assignment in range(1 << (k * k)):
             rows = tuple((assignment >> (k * i)) & ((1 << k) - 1) for i in range(k))
@@ -105,16 +105,27 @@ def test_orthogonal_catalog_covers_everything_small():
 
 
 def test_orthogonal_classes_have_disjoint_orbits():
-    from binframe.catalog import _sorted_orbit
-
     for k in range(2, 7):
         orbits = []
         for m in enum_orthogonal(k).classes:
             cols = tuple(c.bits for c in m.col_vectors())
-            orbits.append(_sorted_orbit(cols, k))
+            orbits.append(sorted_relabel_orbit(cols, k))
         for i, a in enumerate(orbits):
             for b in orbits[i + 1 :]:
                 assert not (a & b)
+
+
+def test_orthogonal_classes_match_brute_force_orbits():
+    """Grouping every ascending orthonormal basis by its relabeling orbit,
+    each class represented by its largest tuple, gives the catalog."""
+    for k in range(1, 7):
+        seen, reps = set(), []
+        for cols in all_orthonormal_sets(k, k):
+            if cols not in seen:
+                orbit = sorted_relabel_orbit(cols, k)
+                seen |= orbit
+                reps.append(max(orbit))
+        assert enum_orthogonal(k).column_sets() == sorted(reps)
 
 
 # -- circulant Gram catalog ---------------------------------------------------

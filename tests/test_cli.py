@@ -375,6 +375,12 @@ def test_parse_failure_exit_code(write, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "line 2" in err
+    # a Unicode digit passes str.isdigit() but is no column integer
+    path = write("super.txt", "k=2\n\u00b2\n")
+    assert run(["check", "parseval", path, "--format", "cols-int"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "line 2, column 1" in err
 
 
 def test_missing_file_exit_code(capsys):

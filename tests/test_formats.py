@@ -80,6 +80,17 @@ def test_cols_int_value_too_wide():
     assert err.value.line == 2
 
 
+def test_cols_int_rejects_non_ascii_digits():
+    """Unicode digits pass str.isdigit() but are not column integers."""
+    for token in ("\u00b2", "\u0663", "1\u00b2"):
+        with pytest.raises(ParseError) as err:
+            parse_matrix(f"k=2\n1 {token}\n", "cols-int")
+        assert (err.value.line, err.value.column) == (2, 3)
+    with pytest.raises(ParseError) as err:
+        parse_matrix("k=\u0663\n1\n", "cols-int")
+    assert err.value.line == 1
+
+
 def test_cols_int_missing_header():
     with pytest.raises(ParseError):
         parse_matrix("7 11", "cols-int")
@@ -108,6 +119,9 @@ def test_json_field_validation():
         parse_matrix(json.dumps({"rows": 2, "cols": 2, "data": ["11"]}), "json")
     with pytest.raises(ParseError):
         parse_matrix(json.dumps({"rows": 1, "cols": 2, "data": ["12"]}), "json")
+    for rows, cols in ((True, 1), (1, True)):  # bool is an int subclass
+        with pytest.raises(ParseError):
+            parse_matrix(json.dumps({"rows": rows, "cols": cols, "data": ["1"]}), "json")
 
 
 def test_parse_vector_examples():

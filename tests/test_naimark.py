@@ -224,8 +224,9 @@ def test_complement_is_symmetric_relation():
 
 
 def test_complement_obstruction():
-    with pytest.raises(ExtensionObstruction):
+    with pytest.raises(ExtensionObstruction) as err:
         naimark_complement(BinMatrix.all_ones(3, 1))
+    assert err.value.witness == BinVector.ones(3)
 
 
 def test_complement_matches_per_step_reference_on_random_frames():
