@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 from .errors import UnsupportedSize
-from .gf2 import BinMatrix, BinVector
+from .gf2 import BinMatrix, BinVector, _Record
 from .gramfactor import GramCandidate, factor_gram
 
 __all__ = [
@@ -45,39 +44,45 @@ CYCLIC_MAX_WORK = 2**33
 NONREPEATING_MAX_WORK = 2**30
 
 
-@dataclass(frozen=True, slots=True)
-class OrthogonalCatalog:
+class OrthogonalCatalog(_Record):
     """One representative per catalog class of orthogonal k x k matrices:
     a class is a row multiset (see ``enum_orthogonal``), represented by
     its largest ascending column tuple."""
 
-    k: int
-    classes: tuple[BinMatrix, ...]
+    __slots__ = ("k", "classes")
+
+    def __init__(self, k: int, classes: tuple[BinMatrix, ...]):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "classes", classes)
 
     def column_sets(self) -> list[tuple[int, ...]]:
-        return [tuple(c.bits for c in m.col_vectors()) for m in self.classes]
+        return [m.transpose().data for m in self.classes]
 
 
-@dataclass(frozen=True, slots=True)
-class CirculantGram:
+class CirculantGram(_Record):
     """A circulant symmetric idempotent matrix with all columns odd,
     identified by its first row."""
 
-    k: int
-    first_row: BinVector
-    rank: int
+    __slots__ = ("k", "first_row", "rank")
+
+    def __init__(self, k: int, first_row: BinVector, rank: int):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "first_row", first_row)
+        object.__setattr__(self, "rank", rank)
 
     def matrix(self) -> BinMatrix:
         return BinMatrix.circulant(self.first_row)
 
 
-@dataclass(frozen=True, slots=True)
-class NonRepeatingPair:
+class NonRepeatingPair(_Record):
     """A circulant Gram of rank n < k whose rows are pairwise distinct,
     together with an analysis matrix factoring it."""
 
-    gram: CirculantGram
-    theta: BinMatrix
+    __slots__ = ("gram", "theta")
+
+    def __init__(self, gram: CirculantGram, theta: BinMatrix):
+        object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "theta", theta)
 
 
 def enum_orthogonal(k: int) -> OrthogonalCatalog:

@@ -244,7 +244,7 @@ def _cmd_enum(args, out: TextIO) -> int:
         for pair in cat.enum_nonrepeating(args.k):
             row = pair.gram.first_row
             if args.format == "cols-int":
-                cols = " ".join(str(c.bits) for c in pair.theta.col_vectors())
+                cols = " ".join(map(str, pair.theta.transpose().data))
                 out.write(f"{row.bits} {cols}\n")
             elif args.format == "json":
                 doc = {

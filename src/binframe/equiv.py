@@ -26,11 +26,9 @@ first optimal permutation.  Independent mode searches the bipartite double
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DimensionError, InvalidInput, ShapeError, UnsupportedSize
 from .frames import Frame, gram
-from .gf2 import BinMatrix
+from .gf2 import BinMatrix, _Record
 
 __all__ = [
     "MODE_INDEPENDENT",
@@ -46,17 +44,19 @@ MODE_CONJUGATION = "conjugation"
 CANON_MAX = 10
 
 
-@dataclass(frozen=True, slots=True)
-class CanonicalMatrix:
+class CanonicalMatrix(_Record):
     """Minimal orbit member plus the row and column permutation that
     produce it.
 
     ``matrix[i][j] == original[row_perm[i]][col_perm[j]]``.
     """
 
-    matrix: BinMatrix
-    row_perm: tuple[int, ...]
-    col_perm: tuple[int, ...]
+    __slots__ = ("matrix", "row_perm", "col_perm")
+
+    def __init__(self, matrix: BinMatrix, row_perm: tuple[int, ...], col_perm: tuple[int, ...]):
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "row_perm", row_perm)
+        object.__setattr__(self, "col_perm", col_perm)
 
 
 def _bigendian_key(row_bits: int, order: tuple[int, ...]) -> int:

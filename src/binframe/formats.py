@@ -35,7 +35,7 @@ def parse_vector(text: str) -> BinVector:
     """A single dense bit-string such as ``1011`` (whitespace ignored)."""
     bits = 0
     n = 0
-    for col, ch in enumerate(text.strip(), start=1):
+    for col, ch in enumerate(text, start=1):
         if ch.isspace():
             continue
         if ch not in "01":
@@ -153,7 +153,7 @@ def render_matrix(m: BinMatrix, fmt: str = "dense") -> str:
     if fmt == "dense":
         return "\n".join(m.to_bitstring_rows()) + "\n"
     if fmt == "cols-int":
-        ints = " ".join(str(c.bits) for c in m.col_vectors())
+        ints = " ".join(map(str, m.transpose().data))
         return f"k={m.rows}\n{ints}\n"
     if fmt == "json":
         doc = {"rows": m.rows, "cols": m.cols, "data": m.to_bitstring_rows()}

@@ -9,11 +9,10 @@ orthonormal columns, i.e. ``theta* theta = I``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, NotSpanningError, ShapeError
-from .gf2 import BinMatrix, BinVector
+from .gf2 import BinMatrix, BinVector, _Record
 
 __all__ = [
     "Frame",
@@ -24,8 +23,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class Frame:
+class Frame(_Record):
     """An ordered sequence of k vectors spanning GF(2)^n.
 
     Construction validates both uniform dimensions (DimensionError) and
@@ -33,15 +31,16 @@ class Frame:
     not a frame at all.
     """
 
-    vectors: tuple[BinVector, ...]
+    __slots__ = ("vectors",)
 
-    def __post_init__(self):
-        if not self.vectors:
+    def __init__(self, vectors: tuple[BinVector, ...]):
+        if not vectors:
             raise DimensionError("a frame needs at least one vector")
-        n = self.vectors[0].n
-        for i, v in enumerate(self.vectors):
+        n = vectors[0].n
+        for i, v in enumerate(vectors):
             if v.n != n:
                 raise DimensionError(f"vector {i} has dimension {v.n}, expected {n}")
+        object.__setattr__(self, "vectors", vectors)
         if self.analysis.rank() != n:
             raise NotSpanningError(f"vectors do not span GF(2)^{n}")
 

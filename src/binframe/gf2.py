@@ -12,7 +12,7 @@ The integer value of a vector doubles as its catalog encoding: the vector
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DimensionError
@@ -25,18 +25,64 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class BinVector:
+class _Record:
+    """Base of the immutable records: the fields are the subclass's
+    ``__slots__``, each set once in its ``__init__`` by
+    ``object.__setattr__``.  Equality needs the exact class and equal
+    fields, the hash is that of the fields, and the repr reads
+    ``Name(field=value, ...)``.  Copy and pickle rebuild through
+    ``__init__``, so they repeat its checks."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = cls.__slots__
+        cls._fields = attrgetter(*cls.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields(self) == self._fields(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class BinVector(_Record):
     """An immutable vector in GF(2)^n, entries packed into ``bits``."""
 
-    n: int
-    bits: int
+    __slots__ = ("n", "bits")
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise DimensionError(f"vector dimension must be positive, got {self.n}")
-        if self.bits < 0 or self.bits >> self.n:
-            raise ValueError(f"bits 0x{self.bits:x} do not fit in dimension {self.n}")
+    def __init__(self, n: int, bits: int):
+        if n < 1:
+            raise DimensionError(f"vector dimension must be positive, got {n}")
+        if bits < 0 or bits >> n:
+            raise ValueError(f"bits 0x{bits:x} do not fit in dimension {n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "bits", bits)
+
+    # vectors and matrices are compared far more often than the other
+    # records, so they spell out the generic field-by-field methods
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.bits == other.bits and self.n == other.n
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.n, self.bits))
 
     @classmethod
     def zero(cls, n: int) -> "BinVector":
@@ -103,21 +149,29 @@ class BinVector:
         return self.to_bitstring()
 
 
-@dataclass(frozen=True, slots=True)
-class BinMatrix:
+class BinMatrix(_Record):
     """An immutable matrix over GF(2); row ``i`` packed into ``data[i]``."""
 
-    cols: int
-    data: tuple[int, ...]
+    __slots__ = ("cols", "data")
 
-    def __post_init__(self):
-        if self.cols < 1:
-            raise DimensionError(f"column count must be positive, got {self.cols}")
-        if len(self.data) < 1:
+    def __init__(self, cols: int, data: tuple[int, ...]):
+        if cols < 1:
+            raise DimensionError(f"column count must be positive, got {cols}")
+        if len(data) < 1:
             raise DimensionError("row count must be positive")
-        for i, r in enumerate(self.data):
-            if r < 0 or r >> self.cols:
-                raise ValueError(f"row {i} has bits outside {self.cols} columns")
+        for i, r in enumerate(data):
+            if r < 0 or r >> cols:
+                raise ValueError(f"row {i} has bits outside {cols} columns")
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "data", data)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.data == other.data and self.cols == other.cols
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.cols, self.data))
 
     # -- constructors ------------------------------------------------------
 
@@ -283,8 +337,7 @@ class BinMatrix:
         return "\n".join(self.to_bitstring_rows())
 
 
-@dataclass(frozen=True, slots=True)
-class AffineSolutionSet:
+class AffineSolutionSet(_Record):
     """All solutions of a consistent GF(2) system, or the empty marker.
 
     ``particular`` is one solution (None when the system is inconsistent)
@@ -295,9 +348,12 @@ class AffineSolutionSet:
     on whenever an algorithm picks "the first acceptable solution".
     """
 
-    n: int
-    particular: Optional[BinVector]
-    nullbasis: tuple[BinVector, ...]
+    __slots__ = ("n", "particular", "nullbasis")
+
+    def __init__(self, n: int, particular: Optional[BinVector], nullbasis: tuple[BinVector, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "particular", particular)
+        object.__setattr__(self, "nullbasis", nullbasis)
 
     @property
     def is_consistent(self) -> bool:

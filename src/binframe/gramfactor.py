@@ -14,10 +14,8 @@ deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InvalidInput, NotGramMatrix, ShapeError
-from .gf2 import BinMatrix, BinVector, Echelon
+from .gf2 import BinMatrix, BinVector, Echelon, _Record
 from .naimark import _orthonormal_fill
 
 __all__ = [
@@ -29,16 +27,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class GramCandidate:
+class GramCandidate(_Record):
     """A k x k matrix validated to be symmetric and idempotent.
 
     Whether such a matrix actually is a Gram matrix is a separate,
     mathematically meaningful question answered by ``is_gram_of_parseval``.
     """
 
-    m: BinMatrix
+    __slots__ = ("m",)
 
+    def __init__(self, m: BinMatrix):
+        object.__setattr__(self, "m", m)
+        self.__post_init__()
+
+    # kept as a method of its own so that bench/tracing.py can time it
     def __post_init__(self):
         if not self.m.is_square:
             raise ShapeError(f"Gram candidate must be square, got shape {self.m.shape}")
@@ -52,11 +54,13 @@ class GramCandidate:
         return self.m.rows
 
 
-@dataclass(frozen=True, slots=True)
-class Factorization:
+class Factorization(_Record):
     """Analysis matrix theta with orthonormal columns reproducing the Gram."""
 
-    theta: BinMatrix
+    __slots__ = ("theta",)
+
+    def __init__(self, theta: BinMatrix):
+        object.__setattr__(self, "theta", theta)
 
     @property
     def k(self) -> int:

@@ -13,12 +13,11 @@ extending the analysis matrix's columns to an orthonormal basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionError, ExtensionObstruction, InvalidInput
 from .frames import is_parseval
-from .gf2 import BinMatrix, BinVector, Echelon
+from .gf2 import BinMatrix, BinVector, Echelon, _Record
 
 __all__ = [
     "OrthonormalSequence",
@@ -29,8 +28,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class OrthonormalSequence:
+class OrthonormalSequence(_Record):
     """Vectors in GF(2)^``dim`` with (v_i, v_j) = delta_{i,j}.
 
     Orthonormality over GF(2) forces linear independence, so at most
@@ -38,27 +36,27 @@ class OrthonormalSequence:
     the ambient dimension.
     """
 
-    dim: int
-    vecs: tuple[BinVector, ...]
+    __slots__ = ("dim", "vecs")
 
-    def __post_init__(self):
-        if self.dim < 1:
-            raise DimensionError(f"ambient dimension must be positive, got {self.dim}")
-        for i, v in enumerate(self.vecs):
-            if v.n != self.dim:
-                raise DimensionError(f"vector {i} has dimension {v.n}, expected {self.dim}")
-        if not self.vecs:
-            return
-        # with the vectors as the rows of V, row i of V V* holds (v_i, v_j)
-        # in bit j; the first defect is reported in the order i = 0, 1, ...:
-        # (v_i, v_i), then (v_i, v_j) for j < i
-        vmat = BinMatrix(self.dim, tuple(v.bits for v in self.vecs))
-        for i, row in enumerate((vmat @ vmat.transpose()).data):
-            if not (row >> i) & 1:
-                raise InvalidInput(f"vector {i} is even, (v,v) = 0 != 1")
-            if below := row & ((1 << i) - 1):
-                j = (below & -below).bit_length() - 1
-                raise InvalidInput(f"vectors {j} and {i} are not orthogonal")
+    def __init__(self, dim: int, vecs: tuple[BinVector, ...]):
+        if dim < 1:
+            raise DimensionError(f"ambient dimension must be positive, got {dim}")
+        for i, v in enumerate(vecs):
+            if v.n != dim:
+                raise DimensionError(f"vector {i} has dimension {v.n}, expected {dim}")
+        if vecs:
+            # with the vectors as the rows of V, row i of V V* holds (v_i, v_j)
+            # in bit j; the first defect is reported in the order i = 0, 1, ...:
+            # (v_i, v_i), then (v_i, v_j) for j < i
+            vmat = BinMatrix(dim, tuple(v.bits for v in vecs))
+            for i, row in enumerate((vmat @ vmat.transpose()).data):
+                if not (row >> i) & 1:
+                    raise InvalidInput(f"vector {i} is even, (v,v) = 0 != 1")
+                if below := row & ((1 << i) - 1):
+                    j = (below & -below).bit_length() - 1
+                    raise InvalidInput(f"vectors {j} and {i} are not orthogonal")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "vecs", vecs)
 
     @classmethod
     def empty(cls, dim: int) -> "OrthonormalSequence":

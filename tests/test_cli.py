@@ -183,6 +183,12 @@ def test_reconstruct_wrong_x_length(write, capsys):
     capsys.readouterr()
 
 
+def test_reconstruct_bad_x_reports_its_column(write, capsys):
+    path = write("id.txt", "100\n010\n001\n")
+    assert run(["reconstruct", path, "--x", "  1a"]) == 2
+    assert capsys.readouterr().err == "binframe: parse error at line 1, column 4: invalid character 'a' in vector\n"
+
+
 def test_reconstruct_non_spanning(write, capsys):
     path = write("flat.txt", "10\n10\n")
     assert run(["reconstruct", path, "--x", "10"]) == 1
@@ -415,14 +421,18 @@ def test_exit_codes_distinguish_outcomes(write, capsys):
     capsys.readouterr()
 
 
-def _run_optimized(*argv):
-    """``python -O -m binframe.cli`` in a child: asserts are stripped."""
+def _run_child(*args):
+    """``python *args`` in a child that imports the package from ``src``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-O", "-m", "binframe.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=120, check=False,
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120, check=False,
     )
+
+
+def _run_optimized(*argv):
+    """``python -O -m binframe.cli`` in a child: asserts are stripped."""
+    return _run_child("-O", "-m", "binframe.cli", *argv)
 
 
 def _dense_rows(lines):
@@ -516,12 +526,33 @@ def test_cli_results_hold_under_python_O(write):
     block = matrix_rows_of_columns(tuple(t | (p << n) for t, p in zip(theta, psi)), k)
     assert all(int_dot(block[a], block[b]) == (a == b) for a in range(k) for b in range(k))
 
+    # the constructors' own checks: a symmetric matrix that is not
+    # idempotent, and rows that are not orthonormal
+    for argv, reason in (
+        (("factor", write("j2.txt", "11\n11\n")), "not a Gram matrix: matrix is not idempotent"),
+        (("extend", write("bad.txt", "110\n")), "rows are not orthonormal: vector 0 is even, (v,v) = 0 != 1"),
+    ):
+        proc = _run_optimized(*argv)
+        assert proc.returncode == 1
+        assert proc.stderr == _run_child("-m", "binframe.cli", *argv).stderr == f"binframe: no: {reason}\n"
+
     # b reorders the vectors of a and swaps two coordinates; c has Gram
     # weight profiles equal to a's, so only the canonical forms tell them apart
     a = write("fa.txt", "011\n110\n110\n001\n011\n")
     for text, expected in (("100\n110\n011\n110\n011\n", 0), ("100\n001\n011\n110\n010\n", 1)):
         proc = _run_optimized("equiv", "switching", a, write("fb.txt", text))
         assert proc.returncode == expected, proc.stderr
+
+
+def test_cli_import_skips_heavy_stdlib_modules():
+    """``import binframe.cli`` loads none of ``dataclasses`` and the
+    modules it pulls in (``inspect``, ``ast``, ``dis``, ``tokenize``)
+    beyond what a bare interpreter, site hooks included, already has."""
+    listing = "import sys; print(' '.join(sorted(sys.modules)))"
+    bare = set(_run_child("-c", listing).stdout.split())
+    loaded = set(_run_child("-c", "import binframe.cli; " + listing).stdout.split())
+    assert "binframe.cli" in loaded
+    assert not {"dataclasses", "inspect", "ast", "dis", "tokenize"} & (loaded - bare)
 
 
 def test_package_has_no_assert_statements():

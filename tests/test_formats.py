@@ -133,6 +133,15 @@ def test_parse_vector_examples():
         parse_vector("10a")
 
 
+def test_parse_vector_column_counts_leading_whitespace():
+    with pytest.raises(ParseError) as info:
+        parse_vector("  1a")
+    assert (info.value.line, info.value.column) == (1, 4)
+    with pytest.raises(ParseError) as info:
+        parse_vector("\t1 0 2")
+    assert (info.value.line, info.value.column) == (1, 6)
+
+
 def test_unknown_format():
     with pytest.raises(ParseError):
         parse_matrix("1", "yaml")
