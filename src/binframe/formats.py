@@ -13,9 +13,6 @@ Three interchangeable formats, all round-tripping bit-exactly:
 
 from __future__ import annotations
 
-import json
-import re
-
 from .errors import ParseError
 from .gf2 import BinMatrix, BinVector
 
@@ -28,20 +25,26 @@ __all__ = [
 
 FORMATS = ("dense", "cols-int", "json")
 
-_HEADER_RE = re.compile(r"^k\s*=\s*([0-9]+)$")
+
+def json_line(doc) -> str:
+    """One JSON document as a line of text."""
+    import json  # imported on first use: dense and cols-int runs never load it
+
+    return json.dumps(doc) + "\n"
 
 
 def parse_vector(text: str) -> BinVector:
     """A single dense bit-string such as ``1011`` (whitespace ignored)."""
     bits = 0
     n = 0
-    for col, ch in enumerate(text, start=1):
-        if ch.isspace():
-            continue
-        if ch not in "01":
-            raise ParseError(f"invalid character {ch!r} in vector", line=1, column=col)
-        bits |= (ch == "1") << n
-        n += 1
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        for col, ch in enumerate(line, start=1):
+            if ch.isspace():
+                continue
+            if ch not in "01":
+                raise ParseError(f"invalid character {ch!r} in vector", line=lineno, column=col)
+            bits |= (ch == "1") << n
+            n += 1
     if n == 0:
         raise ParseError("empty vector", line=1, column=1)
     return BinVector(n, bits)
@@ -88,10 +91,12 @@ def _parse_cols_int(text: str) -> BinMatrix:
         if not stripped:
             continue
         if k is None:
-            m = _HEADER_RE.match(stripped)
-            if not m:
+            # "k", optional whitespace, "=", optional whitespace, ASCII digits
+            key, eq, digits = stripped.partition("=")
+            digits = digits.lstrip()
+            if not (eq and key.rstrip() == "k" and digits.isascii() and digits.isdigit()):
                 raise ParseError("expected header of the form k=K", line=lineno, column=1)
-            k = int(m.group(1))
+            k = int(digits)
             header_line = lineno
             if k < 1:
                 raise ParseError(f"k must be positive, got {k}", line=lineno, column=1)
@@ -115,6 +120,8 @@ def _parse_cols_int(text: str) -> BinMatrix:
 
 
 def _parse_json(text: str) -> BinMatrix:
+    import json
+
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -156,6 +163,5 @@ def render_matrix(m: BinMatrix, fmt: str = "dense") -> str:
         ints = " ".join(map(str, m.transpose().data))
         return f"k={m.rows}\n{ints}\n"
     if fmt == "json":
-        doc = {"rows": m.rows, "cols": m.cols, "data": m.to_bitstring_rows()}
-        return json.dumps(doc) + "\n"
+        return json_line({"rows": m.rows, "cols": m.cols, "data": m.to_bitstring_rows()})
     raise ParseError(f"unknown format {fmt!r}")

@@ -9,7 +9,7 @@ orthonormal columns, i.e. ``theta* theta = I``.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import DimensionError, NotSpanningError, ShapeError
 from .gf2 import BinMatrix, BinVector, _Record

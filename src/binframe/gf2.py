@@ -13,7 +13,7 @@ The integer value of a vector doubles as its catalog encoding: the vector
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Iterable, Iterator, Optional, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import DimensionError
 
@@ -350,7 +350,7 @@ class AffineSolutionSet(_Record):
 
     __slots__ = ("n", "particular", "nullbasis")
 
-    def __init__(self, n: int, particular: Optional[BinVector], nullbasis: tuple[BinVector, ...]):
+    def __init__(self, n: int, particular: BinVector | None, nullbasis: tuple[BinVector, ...]):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "particular", particular)
         object.__setattr__(self, "nullbasis", nullbasis)

@@ -13,7 +13,7 @@ extending the analysis matrix's columns to an orthonormal basis.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import DimensionError, ExtensionObstruction, InvalidInput
 from .frames import is_parseval
@@ -64,7 +64,7 @@ class OrthonormalSequence(_Record):
 
     @classmethod
     def from_vectors(
-        cls, vectors: Sequence[BinVector | Iterable[int]], dim: Optional[int] = None
+        cls, vectors: Sequence[BinVector | Iterable[int]], dim: int | None = None
     ) -> "OrthonormalSequence":
         vecs = tuple(
             v if isinstance(v, BinVector) else BinVector.from_bits(v) for v in vectors

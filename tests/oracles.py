@@ -2,11 +2,14 @@
 
 Everything here works on raw ints (bit i = entry i) and stays deliberately
 independent of the package's algorithms: membership in these results is
-decided by definitions, not by the code under test.
+decided by definitions, not by the code under test.  ``build_parser`` is
+the command line declared with argparse, the reference for the CLI's own
+parser.
 """
 
 from __future__ import annotations
 
+import argparse
 import itertools
 
 
@@ -515,3 +518,52 @@ def orthonormal_defect(vecs: list[int]) -> str | None:
             if int_dot(v, vecs[j]):
                 return f"vectors {j} and {i} are not orthogonal"
     return None
+
+
+class ArgparseUsageError(Exception):
+    """An argv the argparse reference parser refuses; the message is argparse's."""
+
+
+class _RefusingParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise ArgparseUsageError(message)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The ``binframe`` command line as argparse declares it: the reference
+    for the CLI's own table-driven parser.  Its ``error`` raises
+    ``ArgparseUsageError``; ``-h`` prints help and raises ``SystemExit(0)``."""
+    common = _RefusingParser(add_help=False)
+    common.add_argument("--format", choices=("dense", "cols-int", "json"), default="dense")
+    common.add_argument("--output", metavar="PATH", default=None)
+    common.add_argument("--quiet", action="store_true")
+
+    parser = _RefusingParser(prog="binframe")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("check", parents=[common])
+    p.add_argument("property", choices=("parseval", "orthogonal", "gram"))
+    p.add_argument("file")
+
+    for name in ("gram", "factor", "complement", "extend"):
+        sub.add_parser(name, parents=[common]).add_argument("file")
+
+    p = sub.add_parser("reconstruct", parents=[common])
+    p.add_argument("file")
+    p.add_argument("--x", required=True, metavar="BITS")
+
+    p = sub.add_parser("enum", parents=[common])
+    p.add_argument("kind", choices=("orthogonal", "cyclic"))
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--nonrepeating", action="store_true")
+
+    p = sub.add_parser("equiv", parents=[common])
+    p.add_argument("relation", choices=("switching", "perm"))
+    p.add_argument("file1")
+    p.add_argument("file2")
+
+    p = sub.add_parser("canon", parents=[common])
+    p.add_argument("file")
+    p.add_argument("--mode", choices=("independent-row-col", "conjugation"), default="independent-row-col")
+
+    return parser

@@ -1,6 +1,8 @@
 """End-to-end CLI behavior: subcommands, formats, exit codes."""
 
 import ast
+import contextlib
+import io
 import json
 import os
 import random
@@ -11,9 +13,11 @@ from pathlib import Path
 
 import pytest
 
-from binframe.cli import run
+from binframe.cli import _COMMANDS, _Help, _option, _UsageError, parse_args, run
 from oracles import (
+    ArgparseUsageError,
     brute_canonical_form,
+    build_parser,
     circulant_int_rows,
     gram_of_columns,
     int_dot,
@@ -410,6 +414,208 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
 
 
+def test_help_lists_every_command_and_its_options(capsys):
+    """``-h`` and ``--help``, alone or after any command, exit 0 and write
+    usage to stdout only; the top-level text names every command with its
+    one-line help, a command's text every one of its options."""
+    for argv in (["-h"], ["--help"]):
+        assert run(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and captured.out.startswith("usage: binframe [-h] {check,gram,")
+        for name, (_, about, _, _) in _COMMANDS.items():
+            assert f"  {name} " in captured.out and about in captured.out
+    assert len(_COMMANDS) == 9
+    for name, (_, about, positionals, own) in _COMMANDS.items():
+        for flag in ("-h", "--help"):
+            assert run([name, flag]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            assert captured.out.startswith(f"usage: binframe {name} [-h] ")
+            assert about in captured.out
+            for option in ("format", "output", "quiet", *own):
+                assert f"--{option}" in captured.out
+            for positional, choices in positionals.items():
+                assert (positional if choices is None else "{" + ",".join(choices) + "}") in captured.out
+
+
+# Argument lists the CLI's parser must read exactly as argparse reads them.
+# ``_ARGV_OK`` lists argvs both accept, ``_ARGV_REFUSED`` argvs both refuse
+# (or answer with help).
+_ARGV_OK = [
+    # the invocations of these tests (file names are placeholders)
+    ["check", "parseval", "m.txt"],
+    ["check", "parseval", "m.txt", "--quiet"],
+    ["check", "gram", "m.txt"],
+    ["check", "orthogonal", "m.txt", "--format", "cols-int"],
+    ["check", "parseval", "/nonexistent/m.txt"],
+    ["factor", "m.txt"],
+    ["factor", "m.txt", "--format", "json"],
+    ["gram", "m.txt"],
+    ["complement", "m.txt"],
+    ["complement", "m.json", "--format", "json"],
+    ["extend", "m.txt"],
+    ["reconstruct", "m.txt", "--x", "101"],
+    ["reconstruct", "m.txt", "--x", "01", "--format", "json"],
+    ["reconstruct", "m.txt", "--x", "  1a"],
+    ["enum", "orthogonal", "--k", "4", "--format", "cols-int"],
+    ["enum", "orthogonal", "--k", "4", "--nonrepeating"],
+    ["enum", "orthogonal", "--k", "9"],
+    ["enum", "cyclic", "--k", "6"],
+    ["enum", "cyclic", "--k", "9", "--format", "json"],
+    ["enum", "cyclic", "--k", "9", "--nonrepeating", "--format", "cols-int"],
+    ["enum", "cyclic", "--k", "9", "--nonrepeating"],
+    ["enum", "cyclic", "--nonrepeating", "--k", "15"],
+    ["enum", "cyclic", "--nonrepeating", "--k", "257"],
+    ["enum", "cyclic", "--k", "511"],
+    ["enum", "cyclic", "--k", "1000003"],
+    ["check", "parseval", "m.txt", "--format", "cols-int"],
+    ["canon", "m.json", "--mode", "conjugation", "--format", "json"],
+    ["enum", "cyclic", "--k", "4", "--output", "out.txt"],
+    ["equiv", "perm", "a.txt", "b.txt"],
+    ["equiv", "perm", "c.txt", "d.txt", "--format", "cols-int"],
+    ["equiv", "switching", "a.txt", "b.txt"],
+    ["canon", "m.txt"],
+    ["canon", "m.json", "--format", "json", "--mode", "conjugation"],
+    ["canon", "m.txt", "--mode", "independent-row-col"],
+    # the README
+    ["enum", "cyclic", "--k", "15", "--nonrepeating"],
+    ["equiv", "switching", "f1.txt", "f2.txt"],
+    ["canon", "a.txt", "--mode", "conjugation"],
+    # the benchmark's jobs, which add --output to every argv
+    ["enum", "cyclic", "--k", "34", "--output", "out/cyclic-k34.txt"],
+    ["enum", "cyclic", "--nonrepeating", "--k", "30", "--output", "out/nonrepeating-k30.txt"],
+    ["enum", "orthogonal", "--k", "6", "--format", "cols-int", "--output", "out/orthogonal-k6.txt"],
+    ["factor", "in/gram-k256-dense.txt", "--format", "dense", "--output", "out/factor-k256-dense.txt"],
+    ["complement", "in/theta-k64-json.json", "--format", "json", "--output", "out/complement-k64-json.txt"],
+    ["extend", "in/rows-k128.txt", "--output", "out/extend-k128.txt"],
+    ["factor", "in/even-gram-k64.txt", "--output", "out/factor-all-even-k64.txt"],
+    ["complement", "in/odd-theta-k64.txt", "--output", "out/complement-all-odd-k64.txt"],
+    ["canon", "in/gram-a.json", "--mode", "conjugation", "--format", "json", "--output", "out/canon-a.txt"],
+    ["equiv", "switching", "in/c.txt", "in/d.txt", "--output", "out/switching-no.txt"],
+    ["canon", "in/r.json", "--format", "json", "--output", "out/canon-independent.txt"],
+    ["equiv", "perm", "in/r1.txt", "in/r2.txt", "--output", "out/perm-yes.txt"],
+    # unique prefixes, "=" forms, options anywhere, "--", negative numbers,
+    # repeated options (the last wins)
+    ["check", "--form", "json", "parseval", "m.txt"],
+    ["check", "--q", "parseval", "--o=out.txt", "m.txt"],
+    ["enum", "cyclic", "--k=15", "--non"],
+    ["enum", "--k", "15", "cyclic", "--format=cols-int"],
+    ["canon", "--m", "conjugation", "m.txt"],
+    ["reconstruct", "--x=1011", "m.txt"],
+    ["enum", "cyclic", "--k", "-5"],
+    ["enum", "cyclic", "--k", " 7 "],
+    ["reconstruct", "m.txt", "--x", "-1"],
+    ["check", "parseval", "--", "-m.txt"],
+    ["check", "--", "parseval", "m.txt"],
+    ["enum", "--k", "5", "--", "cyclic"],
+    ["check", "parseval", "m.txt", "--"],
+    ["check", "parseval", "-5"],
+    ["check", "parseval", "-.5"],
+    ["check", "parseval", "-a b"],
+    ["check", "parseval", "m.txt", "--output", "-"],
+    ["check", "parseval", "m.txt", "--format", "json", "--format", "dense"],
+    ["enum", "cyclic", "--k", "3", "--k", "4"],
+    ["check", "--quiet", "--quiet", "parseval", "m.txt"],
+]
+_ARGV_REFUSED = [
+    [],
+    ["--"],
+    ["frobnicate"],
+    ["-5"],
+    ["--", "check", "parseval", "m.txt"],
+    ["--quiet", "check", "parseval", "m.txt"],
+    ["check"],
+    ["enum", "orthogonal"],
+    ["reconstruct", "m.txt"],
+    ["equiv", "perm", "a.txt"],
+    ["check", "parsevel", "m.txt"],
+    ["check", "--format", "xml", "parseval", "m.txt"],
+    ["canon", "m.txt", "--mode", "conj"],
+    ["enum", "cyclic", "--k", "x"],
+    ["enum", "cyclic", "--k", "1.5"],
+    ["enum", "cyclic", "--k="],
+    ["enum", "cyclic", "--k"],
+    ["enum", "cyclic", "--k", "--", "5"],
+    ["enum", "cyclic", "--k", "--quiet"],
+    ["check", "parseval", "m.txt", "--output"],
+    ["check", "parseval", "m.txt", "--output", "-o"],
+    ["enum", "cyclic", "--k", "15", "--jobs", "2"],
+    ["enum", "cyclic", "--", "--k", "5"],
+    ["check", "parseval", "m.txt", "extra", "-q"],
+    ["check", "parseval", "m.txt", "--", "--quiet"],
+    ["check", "parseval", "-1."],
+    ["check", "--x", "parseval", "m.txt"],
+    ["check", "--=x", "parseval", "m.txt"],
+    ["check", "--quiet=1", "parseval", "m.txt"],
+    ["enum", "cyclic", "--k", "5", "--no=1"],
+    ["check", "--help=1"],
+    ["check", "-hx"],
+    ["--he=x"],
+    ["check", "bad", "-h"],
+    ["-h"],
+    ["--he"],
+    ["check", "-h", "bad"],
+    ["enum", "--k", "x", "--help"],
+    ["-x", "check", "-h"],
+]
+
+
+def _read(argv):
+    try:
+        return "ok", vars(parse_args(argv))
+    except _UsageError as e:
+        return "error", str(e)
+    except _Help:
+        return "help", None
+
+
+def _read_by_argparse(argv):
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            return "ok", vars(build_parser().parse_args(argv))
+    except ArgparseUsageError as e:
+        return "error", str(e)
+    except SystemExit as e:
+        assert e.code == 0
+        return "help", None
+
+
+def test_parser_agrees_with_argparse():
+    """Every argv of the corpus gives the namespace argparse gives, or the
+    same refusal with the same message, or help."""
+    for argv in _ARGV_OK + _ARGV_REFUSED:
+        assert _read(argv) == _read_by_argparse(argv), argv
+    assert all(_read(argv)[0] == "ok" for argv in _ARGV_OK)
+    refusals = " ".join(_read(argv)[1] or "help" for argv in _ARGV_REFUSED)
+    for message in (
+        "invalid choice",
+        "the following arguments are required",
+        "unrecognized arguments",
+        "invalid int value",
+        "expected one argument",
+        "ambiguous option",
+        "ignored explicit argument",
+        "help",
+    ):
+        assert message in refusals
+
+
+def test_ambiguous_prefix_is_refused():
+    """No two options of a command share a prefix, so only a direct call
+    shows an ambiguous one refused; the message is argparse's."""
+    assert _option("--form=x", ("format", "quiet")) == ("format", "x")
+    with pytest.raises(_UsageError, match=r"^ambiguous option: --fo could match --format, --force$"):
+        _option("--fo", ("help", "format", "force"))
+
+
+def test_usage_errors_print_one_line(capsys):
+    """A refused argv exits 2 with argparse's message on one stderr line."""
+    assert run(["enum", "cyclic", "--k", "x"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "binframe: error: argument --k: invalid int value: 'x'\n"
+
+
 def test_exit_codes_distinguish_outcomes(write, capsys):
     """0 = yes, 1 = mathematical no, 2 = malformed, pairwise distinct."""
     good = write("good.txt", "1\n1\n1\n")
@@ -553,6 +759,16 @@ def test_cli_import_skips_heavy_stdlib_modules():
     loaded = set(_run_child("-c", "import binframe.cli; " + listing).stdout.split())
     assert "binframe.cli" in loaded
     assert not {"dataclasses", "inspect", "ast", "dis", "tokenize"} & (loaded - bare)
+
+
+def test_cli_import_without_site_loads_no_heavy_modules():
+    """Under ``python -S`` no ``site`` hook imports anything first, so
+    ``import binframe.cli`` itself must load none of these."""
+    proc = _run_child("-S", "-c", "import sys, binframe.cli; print(' '.join(sorted(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "binframe.cli" in loaded
+    assert not {"argparse", "gettext", "locale", "json", "typing", "re", "dataclasses"} & loaded
 
 
 def test_package_has_no_assert_statements():

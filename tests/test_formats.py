@@ -1,7 +1,9 @@
 """Wire format round-trips and parse diagnostics."""
 
+import itertools
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -140,6 +142,36 @@ def test_parse_vector_column_counts_leading_whitespace():
     with pytest.raises(ParseError) as info:
         parse_vector("\t1 0 2")
     assert (info.value.line, info.value.column) == (1, 6)
+
+
+def test_parse_vector_reports_the_line_of_a_bad_character():
+    """A line break starts a new line and the column counts from it."""
+    for text, where in (("1\n0a", (2, 2)), ("10\n\n 1\n2", (4, 1)), ("1\r\n0 x", (2, 3))):
+        with pytest.raises(ParseError) as info:
+            parse_vector(text)
+        assert (info.value.line, info.value.column) == where
+    assert parse_vector("1\n0\n1") == BinVector.from_bits([1, 0, 1])
+
+
+def test_cols_int_header_cases():
+    r"""The header is "k", optional whitespace, "=", optional whitespace and
+    ASCII digits: exactly what the pattern ^k\s*=\s*([0-9]+)$ accepts on
+    the stripped line."""
+    identity = BinMatrix.from_rows([[1, 0], [0, 1]])
+    for header in ("k=2", "k = 2", "  k\t=\t02  ", "k\u00a0=\u20032"):
+        assert parse_matrix(f"{header}\n1 2\n", "cols-int") == identity
+    former = re.compile(r"^k\s*=\s*([0-9]+)$")
+    spaces = ("", " ", "\t", "\u00a0", "\u3000", "\u200b", "x")  # U+200B is no whitespace
+    values = ("2", "02", "\u0662", "\u00b2", "+2", "2=3", "2 3", "=2", "")
+    for key, before, after, value in itertools.product(("k", "K", "kk"), spaces, spaces, values):
+        header = f" {key}{before}={after}{value} "
+        try:
+            parse_matrix(f"{header}\n1\n", "cols-int")
+            accepted = True
+        except ParseError as e:
+            assert str(e) == "expected header of the form k=K" and (e.line, e.column) == (1, 1)
+            accepted = False
+        assert accepted == (former.match(header.strip()) is not None), repr(header)
 
 
 def test_unknown_format():
