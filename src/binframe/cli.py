@@ -26,7 +26,7 @@ from .errors import (
     ShapeError,
 )
 from .frames import Frame, gram, is_orthogonal, is_parseval, reconstruct
-from .formats import FORMATS, json_line, parse_matrix, parse_vector, render_matrix
+from .formats import FORMATS, json_line, matrix_doc, parse_matrix, parse_vector, render_matrix
 from .gf2 import BinMatrix, BinVector
 from .gramfactor import GramCandidate, factor_gram, is_gram_of_parseval
 from .naimark import OrthonormalSequence, extend_to_basis, naimark_complement
@@ -200,10 +200,6 @@ def _load_matrix(path: str, fmt: str) -> BinMatrix:
         return parse_matrix(fh.read(), fmt)
 
 
-def _matrix_doc(m: BinMatrix) -> dict:
-    return {"rows": m.rows, "cols": m.cols, "data": m.to_bitstring_rows()}
-
-
 class _Negative(Exception):
     """A well-posed question with answer no; carries the witness."""
 
@@ -238,16 +234,25 @@ def _answer(args, out: typing.TextIO, name: str, value: bool, reason: str | None
     return 0 if value else 1
 
 
+def _emit_matrix(args, out: typing.TextIO, m: BinMatrix, name: str, **extra) -> int:
+    """``m`` in ``--format``; in JSON, under ``name`` followed by ``extra``."""
+    if args.format == "json":
+        out.write(json_line({name: matrix_doc(m), **extra}))
+    else:
+        out.write(render_matrix(m, args.format))
+    return 0
+
+
 def _cmd_check(args, out: typing.TextIO) -> int:
     m = _load_matrix(args.file, args.format)
     if args.property == "parseval":
         return _answer(args, out, "parseval", is_parseval(m))
-    if args.property == "orthogonal":
-        return _answer(args, out, "orthogonal", is_orthogonal(m))
     try:
+        if args.property == "orthogonal":
+            return _answer(args, out, "orthogonal", is_orthogonal(m))
         ok = is_gram_of_parseval(GramCandidate(m))
     except (InvalidInput, ShapeError) as e:
-        return _answer(args, out, "gram", False, reason=str(e))
+        return _answer(args, out, args.property, False, reason=str(e))
     return _answer(args, out, "gram", ok, reason=None if ok else "all columns even")
 
 
@@ -260,23 +265,14 @@ def _cmd_factor(args, out: typing.TextIO) -> int:
     m = _load_matrix(args.file, args.format)
     try:
         cand = GramCandidate(m)
-    except InvalidInput as e:
+    except (InvalidInput, ShapeError) as e:
         raise _Negative(f"not a Gram matrix: {e}") from e
     try:
         theta = factor_gram(cand).theta
     except NotGramMatrix as e:
         raise _Negative("not a Gram matrix: all columns even", witness=list(e.witness)) from e
-    if args.format == "json":
-        # factor_gram returns only a factorization it has checked
-        doc = {
-            "theta": _matrix_doc(theta),
-            "theta_star_theta_is_identity": True,
-            "reproduces_gram": True,
-        }
-        out.write(json_line(doc))
-    else:
-        out.write(render_matrix(theta, args.format))
-    return 0
+    # factor_gram returns only a factorization it has checked
+    return _emit_matrix(args, out, theta, "theta", theta_star_theta_is_identity=True, reproduces_gram=True)
 
 
 def _cmd_complement(args, out: typing.TextIO) -> int:
@@ -288,17 +284,8 @@ def _cmd_complement(args, out: typing.TextIO) -> int:
     except ExtensionObstruction as e:
         witness = e.witness.to_bitstring() if isinstance(e.witness, BinVector) else None
         raise _Negative("no complement: every frame vector is odd", witness=witness) from e
-    if args.format == "json":
-        # naimark_complement returns only a complement it has checked
-        doc = {
-            "psi": _matrix_doc(psi),
-            "gram_sum_is_identity": True,
-            "block_is_orthogonal": True,
-        }
-        out.write(json_line(doc))
-    else:
-        out.write(render_matrix(psi, args.format))
-    return 0
+    # naimark_complement returns only a complement it has checked
+    return _emit_matrix(args, out, psi, "psi", gram_sum_is_identity=True, block_is_orthogonal=True)
 
 
 def _cmd_extend(args, out: typing.TextIO) -> int:
@@ -394,16 +381,8 @@ def _cmd_equiv(args, out: typing.TextIO) -> int:
 def _cmd_canon(args, out: typing.TextIO) -> int:
     m = _load_matrix(args.file, args.format)
     result = canonical_form(m, args.mode)
-    if args.format == "json":
-        doc = {
-            "matrix": _matrix_doc(result.matrix),
-            "row_perm": list(result.row_perm),
-            "col_perm": list(result.col_perm),
-        }
-        out.write(json_line(doc))
-    else:
-        out.write(render_matrix(result.matrix, args.format))
-    return 0
+    row_perm, col_perm = list(result.row_perm), list(result.col_perm)
+    return _emit_matrix(args, out, result.matrix, "matrix", row_perm=row_perm, col_perm=col_perm)
 
 
 # The command line as one table, which drives parsing and help.  A command

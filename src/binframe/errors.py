@@ -2,6 +2,18 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "BinFrameError",
+    "DimensionError",
+    "ShapeError",
+    "InvalidInput",
+    "NotSpanningError",
+    "ExtensionObstruction",
+    "NotGramMatrix",
+    "UnsupportedSize",
+    "ParseError",
+]
+
 
 class BinFrameError(Exception):
     """Base class for all errors raised by this package."""
@@ -23,29 +35,29 @@ class NotSpanningError(BinFrameError):
     """A vector sequence does not span its ambient space."""
 
 
-class ExtensionObstruction(BinFrameError):
+class _Witnessed(BinFrameError):
+    """A negative answer carrying its evidence as ``witness``."""
+
+    def __init__(self, message: str, witness=None):
+        super().__init__(message)
+        self.witness = witness
+
+
+class ExtensionObstruction(_Witnessed):
     """An orthonormal sequence cannot be extended.
 
     ``witness`` holds the vector sum that equals the all-ones vector,
     the exact obstruction to extension.
     """
 
-    def __init__(self, message: str, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
-
-class NotGramMatrix(BinFrameError):
+class NotGramMatrix(_Witnessed):
     """A symmetric idempotent matrix is not the Gram matrix of any
     Parseval frame.
 
     ``witness`` carries the evidence: the tuple of column parities,
     all zero (every column even).
     """
-
-    def __init__(self, message: str, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class UnsupportedSize(BinFrameError):

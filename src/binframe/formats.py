@@ -33,6 +33,11 @@ def json_line(doc) -> str:
     return json.dumps(doc) + "\n"
 
 
+def matrix_doc(m: BinMatrix) -> dict:
+    """The JSON document of a matrix: ``rows``, ``cols`` and ``data``."""
+    return {"rows": m.rows, "cols": m.cols, "data": m.to_bitstring_rows()}
+
+
 def parse_vector(text: str) -> BinVector:
     """A single dense bit-string such as ``1011`` (whitespace ignored)."""
     bits = 0
@@ -163,5 +168,5 @@ def render_matrix(m: BinMatrix, fmt: str = "dense") -> str:
         ints = " ".join(map(str, m.transpose().data))
         return f"k={m.rows}\n{ints}\n"
     if fmt == "json":
-        return json_line({"rows": m.rows, "cols": m.cols, "data": m.to_bitstring_rows()})
+        return json_line(matrix_doc(m))
     raise ParseError(f"unknown format {fmt!r}")

@@ -277,20 +277,10 @@ class BinMatrix(_Record):
 
     def transpose(self) -> "BinMatrix":
         cols, data = self.cols, self.data
-        # One interpreter step per set bit is cheapest up to 32 x 32
-        # entries.  Past that, column j is read instead as every cols-th
-        # character of the rows' bit strings, last row first.
-        if len(data) * cols > 1024:
-            text = "".join([format(r, f"0{cols}b") for r in reversed(data)])
-            return BinMatrix(len(data), tuple([int(text[j::cols], 2) for j in range(cols - 1, -1, -1)]))
-        out = [0] * cols
-        for i, r in enumerate(data):
-            bit = 1 << i
-            while r:
-                low = r & -r
-                out[low.bit_length() - 1] |= bit
-                r ^= low
-        return BinMatrix(len(data), tuple(out))
+        # column j is every cols-th character of the rows' bit strings,
+        # last row first
+        text = "".join([format(r, f"0{cols}b") for r in reversed(data)])
+        return BinMatrix(len(data), tuple([int(text[j::cols], 2) for j in range(cols - 1, -1, -1)]))
 
     def __add__(self, other: "BinMatrix") -> "BinMatrix":
         if self.shape != other.shape:

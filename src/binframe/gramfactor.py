@@ -99,8 +99,9 @@ def factor_gram(cand: GramCandidate) -> Factorization:
     """
     m = cand.m
     k = m.rows
-    odd = odd_columns(m)
-    if not odd:
+    # m is symmetric, so bit i of m ones is the parity of column i
+    target = m.mul_vec(BinVector.ones(k)).bits
+    if not target:
         raise NotGramMatrix(
             "all columns even; not the Gram matrix of a Parseval frame",
             witness=(0,) * k,
@@ -112,9 +113,9 @@ def factor_gram(cand: GramCandidate) -> Factorization:
     # For a non-empty orthonormal set W in range(m), the all-ones vector
     # lies in span(ker m, W) iff sum(W) = m ones (dot with each w in W),
     # and then no further column can be found; so m ones is the sum to
-    # avoid while columns remain.
-    target = m.mul_vec(BinVector.ones(k)).bits
-    seed = m.col(odd[0]).bits
+    # avoid while columns remain.  The seed is the lowest-index odd
+    # column, read as the equal row.
+    seed = m.data[(target & -target).bit_length() - 1]
     start = [seed] if n == 1 or seed != target else []
     columns = _orthonormal_fill(k, kernel, start, n, target)
 

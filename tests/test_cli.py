@@ -70,6 +70,52 @@ def test_check_orthogonal(write, capsys):
     capsys.readouterr()
 
 
+def test_check_json_yes_and_no_with_witness(write, capsys):
+    ok = write("id.json", json.dumps({"rows": 3, "cols": 3, "data": ["100", "010", "001"]}))
+    assert run(["check", "gram", ok, "--format", "json"]) == 0
+    assert run(["check", "parseval", ok, "--format", "json"]) == 0
+    asym = write("asym.json", json.dumps({"rows": 2, "cols": 2, "data": ["01", "00"]}))
+    assert run(["check", "gram", asym, "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == (
+        '{"gram": true}\n'
+        '{"parseval": true}\n'
+        '{"gram": false, "witness": "matrix is not symmetric"}\n'
+    )
+    assert captured.err == ""
+
+
+NON_SQUARE = ["10", "01", "11"]
+
+
+def test_non_square_is_a_mathematical_no(write, capsys):
+    """A 3 x 2 matrix is no Gram matrix and no orthogonal matrix: every
+    such question answers no with exit 1, as `check gram` does."""
+    path = write("m.txt", "".join(row + "\n" for row in NON_SQUARE))
+    assert run(["check", "gram", path]) == 1
+    assert run(["check", "orthogonal", path]) == 1
+    assert capsys.readouterr().out == (
+        "gram: no (Gram candidate must be square, got shape (3, 2))\n"
+        "orthogonal: no (orthogonality needs a square matrix, got shape (3, 2))\n"
+    )
+    assert run(["factor", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "binframe: no: not a Gram matrix: Gram candidate must be square, got shape (3, 2)\n"
+
+
+def test_non_square_is_a_mathematical_no_in_json(write, capsys):
+    path = write("m.json", json.dumps({"rows": 3, "cols": 2, "data": NON_SQUARE}))
+    assert run(["check", "orthogonal", path, "--format", "json"]) == 1
+    assert run(["factor", path, "--format", "json", "--quiet"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == (
+        '{"orthogonal": false, "witness": "orthogonality needs a square matrix, got shape (3, 2)"}\n'
+        '{"ok": false, "reason": "not a Gram matrix: Gram candidate must be square, got shape (3, 2)"}\n'
+    )
+    assert captured.err == ""
+
+
 def test_factor_all_ones(write, capsys):
     path = write("j3.txt", "111\n111\n111\n")
     assert run(["factor", path]) == 0
@@ -127,6 +173,33 @@ def test_complement_negative(write, capsys):
     path = write("ones.txt", "1\n1\n1\n")
     assert run(["complement", path]) == 1
     assert "odd" in capsys.readouterr().err
+
+
+def test_complement_of_non_parseval_matrix(write, capsys):
+    path = write("m.txt", "110\n011\n")
+    assert run(["complement", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "binframe: no: matrix is not the analysis matrix of a Parseval frame\n"
+
+
+def test_matrix_json_documents_keep_their_key_order(write, capsys):
+    """factor, complement and canon write the matrix document first, then
+    their extra fields."""
+    j3 = write("j3.json", json.dumps({"rows": 3, "cols": 3, "data": ["111"] * 3}))
+    theta = write("theta.json", json.dumps({"rows": 4, "cols": 2, "data": ["11", "11", "10", "01"]}))
+    m = write("m.json", json.dumps({"rows": 2, "cols": 3, "data": ["011", "100"]}))
+    assert run(["factor", j3, "--format", "json"]) == 0
+    assert run(["complement", theta, "--format", "json"]) == 0
+    assert run(["canon", m, "--format", "json"]) == 0
+    assert capsys.readouterr().out == (
+        '{"theta": {"rows": 3, "cols": 1, "data": ["1", "1", "1"]}, '
+        '"theta_star_theta_is_identity": true, "reproduces_gram": true}\n'
+        '{"psi": {"rows": 4, "cols": 2, "data": ["10", "01", "11", "11"]}, '
+        '"gram_sum_is_identity": true, "block_is_orthogonal": true}\n'
+        '{"matrix": {"rows": 2, "cols": 3, "data": ["001", "110"]}, '
+        '"row_perm": [1, 0], "col_perm": [1, 2, 0]}\n'
+    )
 
 
 def test_complement_json_verification(write, capsys):
@@ -241,6 +314,28 @@ def test_enum_cyclic_nonrepeating_cols_int(capsys):
     fields = [int(x) for x in line.split()]
     assert fields[0] == int("111011011"[::-1], 2)  # little-endian encoding of the first row
     assert len(fields) == 1 + 7
+
+
+def test_enum_orthogonal_json_and_dense(capsys):
+    assert run(["enum", "orthogonal", "--k", "4", "--format", "json"]) == 0
+    assert capsys.readouterr().out == (
+        '{"k": 4, "columns": [1, 2, 4, 8]}\n'
+        '{"k": 4, "columns": [7, 11, 13, 14]}\n'
+    )
+    assert run(["enum", "orthogonal", "--k", "4", "--format", "dense"]) == 0
+    assert capsys.readouterr().out == "1000\n0100\n0010\n0001\n\n1110\n1101\n1011\n0111\n\n"
+
+
+def test_enum_cyclic_cols_int(capsys):
+    assert run(["enum", "cyclic", "--k", "9", "--format", "cols-int"]) == 0
+    assert capsys.readouterr().out == "1\n73\n439\n511\n"
+
+
+def test_enum_cyclic_nonrepeating_json(capsys):
+    assert run(["enum", "cyclic", "--k", "9", "--nonrepeating", "--format", "json"]) == 0
+    theta = ["1000000", "1100111", "1111001", "0111110", "1010111", "1000101", "0000001", "1001111", "1000011"]
+    doc = {"k": 9, "n": 7, "gram_first_row": "111011011", "theta": theta}
+    assert capsys.readouterr().out == json.dumps(doc) + "\n"
 
 
 def test_enum_cyclic_size_guard(capsys):

@@ -1,0 +1,97 @@
+"""The package surface: the public names and the README's library example."""
+
+import contextlib
+import io
+import re
+from pathlib import Path
+
+import binframe
+from binframe import catalog, equiv, errors, frames, gf2, gramfactor, naimark
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# each public name with the module that defines it
+PUBLIC = {
+    catalog: (
+        "CirculantGram",
+        "NonRepeatingPair",
+        "OrthogonalCatalog",
+        "enum_cyclic_gram",
+        "enum_nonrepeating",
+        "enum_orthogonal",
+    ),
+    equiv: (
+        "MODE_CONJUGATION",
+        "MODE_INDEPENDENT",
+        "CanonicalMatrix",
+        "canonical_form",
+        "permutation_equivalent",
+        "switching_equivalent",
+    ),
+    errors: (
+        "BinFrameError",
+        "DimensionError",
+        "ExtensionObstruction",
+        "InvalidInput",
+        "NotGramMatrix",
+        "NotSpanningError",
+        "ParseError",
+        "ShapeError",
+        "UnsupportedSize",
+    ),
+    frames: ("Frame", "gram", "is_orthogonal", "is_parseval", "reconstruct"),
+    gf2: ("AffineSolutionSet", "BinMatrix", "BinVector", "solve"),
+    gramfactor: ("Factorization", "GramCandidate", "factor_gram", "is_gram_of_parseval", "odd_columns"),
+    naimark: (
+        "OrthonormalSequence",
+        "extend_to_basis",
+        "has_naimark_complement",
+        "is_extendable",
+        "naimark_complement",
+    ),
+}
+
+
+def test_public_names_are_exactly_the_forty():
+    names = [name for group in PUBLIC.values() for name in group]
+    assert len(names) == len(set(names)) == 40
+    assert len(binframe.__all__) == len(set(binframe.__all__))
+    assert set(binframe.__all__) == set(names)
+
+
+def test_public_names_are_the_defining_modules_objects():
+    for module, names in PUBLIC.items():
+        for name in names:
+            assert getattr(binframe, name) is getattr(module, name), name
+
+
+def test_each_module_lists_its_public_names():
+    for module, names in PUBLIC.items():
+        assert sorted(module.__all__) == sorted(names), module.__name__
+
+
+def test_errors_lists_its_nine_exception_classes():
+    assert len(errors.__all__) == 9
+    for name in errors.__all__:
+        cls = getattr(errors, name)
+        assert isinstance(cls, type) and issubclass(cls, errors.BinFrameError), name
+    public = {cls for cls in vars(errors).values() if isinstance(cls, type) and not cls.__name__.startswith("_")}
+    assert public == {getattr(errors, name) for name in errors.__all__}
+
+
+def test_witness_carrying_errors():
+    for cls in (errors.ExtensionObstruction, errors.NotGramMatrix):
+        e = cls("reason", witness=(0, 1))
+        assert str(e) == "reason" and e.witness == (0, 1)
+        assert cls("reason").witness is None
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    # the k=9 catalog (first row, rank), then theta of the (3,1) all-ones frame
+    assert out.getvalue() == "100000000 9\n100100100 3\n111011011 7\n111111111 1\n1\n1\n1\n"
