@@ -27,7 +27,7 @@ from .errors import (
 )
 from .frames import Frame, gram, is_orthogonal, is_parseval, reconstruct
 from .formats import FORMATS, json_line, matrix_doc, parse_matrix, parse_vector, render_matrix
-from .gf2 import BinMatrix, BinVector
+from .gf2 import BinMatrix
 from .gramfactor import GramCandidate, factor_gram, is_gram_of_parseval
 from .naimark import OrthonormalSequence, extend_to_basis, naimark_complement
 
@@ -279,11 +279,8 @@ def _cmd_complement(args, out: typing.TextIO) -> int:
     theta = _load_matrix(args.file, args.format)
     try:
         psi = naimark_complement(theta)
-    except InvalidInput as e:
-        raise _Negative(str(e)) from e
     except ExtensionObstruction as e:
-        witness = e.witness.to_bitstring() if isinstance(e.witness, BinVector) else None
-        raise _Negative("no complement: every frame vector is odd", witness=witness) from e
+        raise _Negative("no complement: every frame vector is odd", witness=e.witness.to_bitstring()) from e
     # naimark_complement returns only a complement it has checked
     return _emit_matrix(args, out, psi, "psi", gram_sum_is_identity=True, block_is_orthogonal=True)
 
@@ -296,18 +293,13 @@ def _cmd_extend(args, out: typing.TextIO) -> int:
     except InvalidInput as e:
         raise _Negative(f"rows are not orthonormal: {e}") from e
     except ExtensionObstruction as e:
-        witness = e.witness.to_bitstring() if isinstance(e.witness, BinVector) else None
-        raise _Negative("not extendable: rows sum to the all-ones vector", witness=witness) from e
+        raise _Negative("not extendable: rows sum to the all-ones vector", witness=e.witness.to_bitstring()) from e
     out.write(render_matrix(BinMatrix.from_rows(ext.vecs), args.format))
     return 0
 
 
 def _cmd_reconstruct(args, out: typing.TextIO) -> int:
-    m = _load_matrix(args.file, args.format)
-    try:
-        frame = Frame.from_analysis(m)
-    except NotSpanningError as e:
-        raise _Negative(str(e)) from e
+    frame = Frame.from_analysis(_load_matrix(args.file, args.format))
     x = parse_vector(args.x)
     y = reconstruct(x, frame)
     if args.format == "json":
@@ -370,11 +362,7 @@ def _cmd_equiv(args, out: typing.TextIO) -> int:
     b = _load_matrix(args.file2, args.format)
     if args.relation == "perm":
         return _answer(args, out, "permutation-equivalent", permutation_equivalent(a, b))
-    try:
-        fa = Frame.from_analysis(a)
-        fb = Frame.from_analysis(b)
-    except NotSpanningError as e:
-        raise _Negative(str(e)) from e
+    fa, fb = Frame.from_analysis(a), Frame.from_analysis(b)
     return _answer(args, out, "switching-equivalent", switching_equivalent(fa, fb))
 
 

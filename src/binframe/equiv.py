@@ -22,11 +22,14 @@ subtree is the image of one already searched.  Children are tried in
 increasing index order, so the first optimal leaf is the lexicographically
 first optimal permutation.  Independent mode searches the bipartite double
 [[0, A], [Aᵀ, 0]] with the rows before the columns and equal rows merged.
+Each public call has ``SEARCH_BUDGET`` steps for all of its searches, a
+step being one row key digit worked out or one generator applied to an
+orbit member, and raises ``UnsupportedSize`` once they are spent.
 """
 
 from __future__ import annotations
 
-from .errors import DimensionError, InvalidInput, ShapeError, UnsupportedSize
+from .errors import InvalidInput, ShapeError, UnsupportedSize
 from .frames import Frame, gram
 from .gf2 import BinMatrix, _Record
 
@@ -41,7 +44,7 @@ __all__ = [
 
 MODE_INDEPENDENT = "independent-row-col"
 MODE_CONJUGATION = "conjugation"
-CANON_MAX = 10
+SEARCH_BUDGET = 2**24
 
 
 class CanonicalMatrix(_Record):
@@ -86,7 +89,13 @@ def _members(mask: int):
         mask ^= low
 
 
-def _orbit_min(v: int, gens: _Generators, fixed: int) -> int:
+def _spend(budget: list[int], steps: int) -> None:
+    budget[0] -= steps
+    if budget[0] < 0:
+        raise UnsupportedSize(f"canonical form is over its search budget of {SEARCH_BUDGET} steps")
+
+
+def _orbit_min(v: int, gens: _Generators, fixed: int, budget: list[int]) -> int:
     """Least index in the orbit of ``v`` under the generators that move
     nothing in the mask ``fixed``."""
     usable = [g for g, support in gens if not support & fixed]
@@ -98,11 +107,12 @@ def _orbit_min(v: int, gens: _Generators, fixed: int) -> int:
             if not (seen >> y) & 1:
                 seen |= 1 << y
                 todo.append(y)
+    _spend(budget, seen.bit_count() * len(usable))
     return (seen & -seen).bit_length() - 1
 
 
 def _search(
-    adj: list[int], cells: list[int], labels: list[int] | None = None
+    adj: list[int], cells: list[int], budget: list[int], labels: list[int] | None = None
 ) -> tuple[list[int], list[int], _Generators]:
     """Least key over the orderings of the indices that ``cells`` allow.
 
@@ -115,7 +125,8 @@ def _search(
     Returns the least key, the first ordering in increasing lexicographic
     order that reaches it, and the automorphisms found (each with the mask
     of the indices it moves), which generate every label-preserving
-    automorphism that maps each cell onto itself.
+    automorphism that maps each cell onto itself.  ``budget`` holds the
+    steps left, which the search spends.
     """
     n = len(adj)
     labels = labels or [0] * n
@@ -156,10 +167,12 @@ def _search(
                     return next(p for p in range(n) if prefix[p] != best_perm[p])
                 first, later = cells[0], cells[1:]
                 keyed = []
+                steps = first.bit_count() * len(cells)
                 for w in _members(first):
                     row = adj[w]
                     key = 0
                     if row & fixed:  # else its bits at the placed indices are all 0
+                        steps += d
                         for v in prefix:
                             key = (key << 1) | ((row >> v) & 1)
                     key = (key << 1) | ((row >> w) & 1)
@@ -167,6 +180,7 @@ def _search(
                         if cell:
                             key = (key << cell.bit_count()) | ((1 << (row & cell).bit_count()) - 1)
                     keyed.append(((key << label_bits) | labels[w], w))
+                _spend(budget, steps)
                 least = min(keyed)[0]
                 if best_perm and keys[:d] == best_keys[:d] and least > best_keys[d]:
                     return n
@@ -178,7 +192,7 @@ def _search(
                 cells = refine(cells, tied[0])
                 fixed |= 1 << tied[0]
             for i, w in enumerate(tied):
-                if i and _orbit_min(w, gens, fixed) < w:
+                if i and _orbit_min(w, gens, fixed, budget) < w:
                     continue
                 prefix.append(w)
                 resume = visit(prefix, refine(cells, w), fixed | (1 << w))
@@ -193,7 +207,7 @@ def _search(
     return best_keys, best_perm, gens
 
 
-def _search_double(a: BinMatrix, fixed_cols: list[int]) -> tuple[list[int], list[int], _Generators]:
+def _search_double(a: BinMatrix, fixed_cols: list[int], budget: list[int]) -> tuple[list[int], list[int], _Generators]:
     """``_search`` on the bipartite double of ``a`` with equal rows merged.
 
     Index ``i < r``, for ``r`` distinct rows, is the ``i``-th of them,
@@ -212,41 +226,33 @@ def _search_double(a: BinMatrix, fixed_cols: list[int]) -> tuple[list[int], list
     rest = (1 << a.cols) - 1
     for j in fixed_cols:
         rest &= ~(1 << j)
-    return _search(adj, [(1 << r) - 1, *(1 << (r + j) for j in fixed_cols), rest << r], labels)
+    return _search(adj, [(1 << r) - 1, *(1 << (r + j) for j in fixed_cols), rest << r], budget, labels)
 
 
-def _check_cols(a: BinMatrix) -> None:
-    if a.cols > CANON_MAX:
-        raise UnsupportedSize(f"canonical form supports at most {CANON_MAX} columns, got {a.cols}")
-
-
-def _canon_independent(a: BinMatrix) -> CanonicalMatrix:
+def _canon_independent(a: BinMatrix, budget: list[int]) -> CanonicalMatrix:
     """The canonical matrix, with the lexicographically first optimal
     column order and the rows sorted by (key, index) under it."""
-    _check_cols(a)
     r = len(set(a.data))
     col_bits = ((1 << a.cols) - 1) << r
     chosen: list[int] = []
-    _, perm, gens = _search_double(a, chosen)
+    _, perm, gens = _search_double(a, chosen, budget)
     # The optimal column orders that start with ``chosen`` are the images
     # of ``perm``'s under the automorphisms that fix ``chosen``, and the
     # search's generators generate those: the least column in the orbit
     # of ``perm``'s next one is the least that can follow.  Fix it and
     # search again, until no generator moves a column.
     while any(support & col_bits for _, support in gens):
-        chosen.append(_orbit_min(perm[r + len(chosen)], gens, 0) - r)
-        _, perm, gens = _search_double(a, chosen)
+        chosen.append(_orbit_min(perm[r + len(chosen)], gens, 0, budget) - r)
+        _, perm, gens = _search_double(a, chosen, budget)
     col_perm = tuple(v - r for v in perm[r:])
     keyed = sorted((_bigendian_key(row, col_perm), i) for i, row in enumerate(a.data))
     matrix = BinMatrix(a.cols, tuple(_key_to_row(key, a.cols) for key, _ in keyed))
     return CanonicalMatrix(matrix, tuple(i for _, i in keyed), col_perm)
 
 
-def _canon_conjugation(a: BinMatrix) -> CanonicalMatrix:
+def _canon_conjugation(a: BinMatrix, budget: list[int]) -> CanonicalMatrix:
     k = a.rows
-    if k > CANON_MAX:
-        raise UnsupportedSize(f"conjugation canonical form supports k <= {CANON_MAX}, got {k}")
-    keys, perm, _ = _search(list(a.data), [(1 << k) - 1])
+    keys, perm, _ = _search(list(a.data), [(1 << k) - 1], budget)
     matrix = BinMatrix(k, tuple(_key_to_row(key, k) for key in keys))
     return CanonicalMatrix(matrix, tuple(perm), tuple(perm))
 
@@ -257,14 +263,14 @@ def canonical_form(a: BinMatrix, mode: str = MODE_INDEPENDENT) -> CanonicalMatri
     ``independent-row-col`` searches over every row permutation paired
     with every column permutation; ``conjugation`` over one permutation
     applied to rows and columns simultaneously (square matrices only).
-    More than ``CANON_MAX`` permuted indices raise ``UnsupportedSize``.
+    Raises ``UnsupportedSize`` when the search spends ``SEARCH_BUDGET``.
     """
     if mode == MODE_INDEPENDENT:
-        return _canon_independent(a)
+        return _canon_independent(a, [SEARCH_BUDGET])
     if mode == MODE_CONJUGATION:
         if not a.is_square:
             raise ShapeError(f"conjugation mode needs a square matrix, got {a.shape}")
-        return _canon_conjugation(a)
+        return _canon_conjugation(a, [SEARCH_BUDGET])
     raise InvalidInput(f"unknown canonicalization mode {mode!r}")
 
 
@@ -276,13 +282,12 @@ def _weight_profiles(a: BinMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 def permutation_equivalent(a: BinMatrix, b: BinMatrix) -> bool:
     """Whether a row permutation and an independent column permutation
-    map ``a`` to ``b``."""
-    if a.shape != b.shape:
-        raise DimensionError(f"shapes {a.shape} and {b.shape} differ")
+    map ``a`` to ``b``; matrices of different shapes differ in their
+    weight profiles."""
     if _weight_profiles(a) != _weight_profiles(b):
         return False
-    _check_cols(a)
-    return _search_double(a, [])[0] == _search_double(b, [])[0]
+    budget = [SEARCH_BUDGET]
+    return _search_double(a, [], budget)[0] == _search_double(b, [], budget)[0]
 
 
 def switching_equivalent(f: Frame, g: Frame) -> bool:
@@ -291,10 +296,8 @@ def switching_equivalent(f: Frame, g: Frame) -> bool:
     Decided on Gram matrices: the frames are switching equivalent iff the
     Gram matrices are conjugate under a permutation matrix.
     """
-    if (f.k, f.n) != (g.k, g.n):
-        raise DimensionError(f"frame shapes ({f.k},{f.n}) and ({g.k},{g.n}) differ")
-    gf = gram(f.analysis)
-    gg = gram(g.analysis)
-    if _weight_profiles(gf) != _weight_profiles(gg):
+    gf, gg = gram(f.analysis), gram(g.analysis)
+    if f.n != g.n or _weight_profiles(gf) != _weight_profiles(gg):
         return False
-    return _canon_conjugation(gf).matrix == _canon_conjugation(gg).matrix
+    budget = [SEARCH_BUDGET]
+    return _canon_conjugation(gf, budget).matrix == _canon_conjugation(gg, budget).matrix

@@ -13,7 +13,9 @@ from pathlib import Path
 
 import pytest
 
+from binframe import enum_cyclic_gram
 from binframe.cli import _COMMANDS, _Help, _option, _UsageError, parse_args, run
+from binframe.equiv import SEARCH_BUDGET
 from oracles import (
     ArgparseUsageError,
     brute_canonical_form,
@@ -395,6 +397,26 @@ def test_equiv_switching(write, capsys):
     capsys.readouterr()
 
 
+def test_equiv_different_shapes_answer_no(write, capsys):
+    """Matrices or frames of different shapes are not equivalent: exit 1."""
+    a = write("a.txt", "10\n01\n")
+    b = write("b.txt", "10\n01\n11\n")
+    assert run(["equiv", "perm", a, b]) == 1
+    assert capsys.readouterr().out == "permutation-equivalent: no\n"
+    assert run(["equiv", "switching", a, b]) == 1
+    assert capsys.readouterr().out == "switching-equivalent: no\n"
+
+
+def test_equiv_switching_non_spanning(write, capsys):
+    """A non-spanning analysis matrix is no frame: a "no" naming the reason."""
+    flat = write("flat.txt", "10\n10\n")
+    good = write("good.txt", "10\n01\n")
+    assert run(["equiv", "switching", good, flat]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "binframe: no: vectors do not span GF(2)^2\n"
+
+
 def test_canon_identity_independent(write, capsys):
     path = write("id.txt", "100\n010\n001\n")
     assert run(["canon", path]) == 0
@@ -412,21 +434,33 @@ def test_canon_json_certificate(write, capsys):
 
 
 def test_canon_size_guard(write, capsys):
-    """Factorial canonical forms above CANON_MAX indices exit 2 at once;
-    the weight-profile screen still answers "no" first."""
+    """Inputs past ten permuted indices are answered within the search
+    budget, and the weight-profile screen still answers "no" first."""
     identity = write("id11.txt", "".join("0" * i + "1" + "0" * (10 - i) + "\n" for i in range(11)))
     start = time.monotonic()
-    assert run(["canon", identity, "--mode", "conjugation"]) == 2
+    assert run(["canon", identity, "--mode", "conjugation"]) == 0
+    assert capsys.readouterr().out == Path(identity).read_text()  # conjugation fixes I
     a = write("a.txt", "11100000000\n00011100000\n00000011100\n")
     b = write("b.txt", "00000000111\n00001110000\n01110000000\n")
-    assert run(["equiv", "perm", a, b]) == 2
+    assert run(["equiv", "perm", a, b]) == 0
     assert time.monotonic() - start < 1.0
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.count("error:") == 2
+    assert captured.out == "permutation-equivalent: yes\n"
+    assert captured.err == ""
     c = write("c.txt", "11110000000\n00011100000\n00000011100\n")
     assert run(["equiv", "perm", a, c]) == 1
     capsys.readouterr()
+
+
+def test_canon_refuses_over_the_search_budget(write, capsys):
+    """The 127 x 127 identity in conjugation mode (automorphisms S_127)
+    spends the whole budget: exit 2 naming it, and nothing on stdout."""
+    k = 127
+    path = write("id127.txt", "".join("0" * i + "1" + "0" * (k - 1 - i) + "\n" for i in range(k)))
+    assert run(["canon", path, "--mode", "conjugation"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"binframe: error: canonical form is over its search budget of {SEARCH_BUDGET} steps\n"
 
 
 def _json_matrix(rows):
@@ -458,6 +492,37 @@ def test_canon_symmetric_inputs_finish(write, capsys):
         assert sorted(rp) == list(range(len(rows))) and sorted(cp) == list(range(k))
         assert mode == "independent-row-col" or rp == cp
         assert doc["matrix"]["data"] == ["".join(rows[i][j] for j in cp) for i in rp]
+
+
+def test_canon_past_ten_indices(write, capsys):
+    """Conjugation canonical forms past k = 10: Paley k = 41, the
+    hypercube Q6 and a spread of cyclic Grams at k = 63, the identity
+    among them.  Each certificate maps its input onto the printed matrix,
+    and a random conjugate of the input prints the same matrix."""
+    p = 41
+    squares = {x * x % p for x in range(1, p)}
+    inputs = {
+        "paley41": (p, tuple(sum(1 << j for j in range(p) if (i - j) % p in squares) for i in range(p))),
+        "q6": (64, tuple(sum(1 << (i ^ (1 << b)) for b in range(6)) for i in range(64))),
+    }
+    for index, cg in enumerate(enum_cyclic_gram(63)):
+        if index % 16 == 0:
+            inputs[f"cyclic63-{index}"] = (63, circulant_int_rows(cg.first_row.bits, 63))
+    assert inputs["cyclic63-0"][1] == tuple(1 << i for i in range(63))
+    rng = random.Random(67)
+    for name, (k, rows) in inputs.items():
+        perm = tuple(rng.sample(range(k), k))
+        printed = []
+        for tag, m in (("", rows), ("-conjugate", permute_int_rows(rows, perm, perm))):
+            text = ["".join(str((r >> j) & 1) for j in range(k)) for r in m]
+            path = write(f"{name}{tag}.json", _json_matrix(text))
+            assert run(["canon", path, "--format", "json", "--mode", "conjugation"]) == 0, name
+            doc = json.loads(capsys.readouterr().out)
+            rp, cp = doc["row_perm"], doc["col_perm"]
+            assert rp == cp and sorted(rp) == list(range(k)), name
+            assert doc["matrix"]["data"] == ["".join(text[i][j] for j in cp) for i in rp], name
+            printed.append(doc["matrix"])
+        assert printed[0] == printed[1], name
 
 
 def test_internal_error_exits_2(write, capsys, monkeypatch):

@@ -12,7 +12,6 @@ from binframe import (
     MODE_INDEPENDENT,
     BinMatrix,
     BinVector,
-    DimensionError,
     Frame,
     ShapeError,
     canonical_form,
@@ -178,8 +177,9 @@ def test_permutation_equivalent_examples():
 
 
 def test_permutation_equivalent_shape_mismatch():
-    with pytest.raises(DimensionError):
-        permutation_equivalent(BinMatrix.identity(3), BinMatrix.identity(4))
+    """Matrices of different shapes are not equivalent: a "no", not an error."""
+    assert not permutation_equivalent(BinMatrix.identity(3), BinMatrix.identity(4))
+    assert not permutation_equivalent(BinMatrix.zeros(2, 3), BinMatrix.zeros(3, 2))
 
 
 def test_permutation_equivalent_agrees_with_brute_force():
@@ -218,8 +218,9 @@ def test_switching_equivalent_reordered_frames():
 def test_switching_equivalent_shape_mismatch():
     f = Frame.from_vectors([vec(1, 0), vec(0, 1)])
     g = Frame.from_vectors([vec(1)])
-    with pytest.raises(DimensionError):
-        switching_equivalent(f, g)
+    assert not switching_equivalent(f, g)
+    three = Frame.from_vectors([vec(1, 0), vec(0, 1), vec(1, 1)])
+    assert not switching_equivalent(f, three)
 
 
 def test_full_width_orthogonal_frames_share_identity_gram():

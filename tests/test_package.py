@@ -1,5 +1,7 @@
-"""The package surface: the public names and the README's library example."""
+"""The package surface: the public names, the README's library example
+and the Python version the sources need."""
 
+import ast
 import contextlib
 import io
 import re
@@ -95,3 +97,12 @@ def test_readme_library_example_runs():
         exec(compile(block, "README.md", "exec"), {})
     # the k=9 catalog (first row, rank), then theta of the (3,1) all-ones frame
     assert out.getvalue() == "100000000 9\n100100100 3\n111011011 7\n111111111 1\n1\n1\n1\n"
+
+
+def test_sources_parse_as_python_3_10():
+    """pyproject.toml requires Python >= 3.10: every source file parses
+    with the 3.10 grammar, so no later syntax slips in unnoticed."""
+    paths = sorted(p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py"))
+    assert any(p.parent.name == "bench" for p in paths)
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
