@@ -434,6 +434,9 @@ def run(argv: list[str]) -> int:
     try:
         args = parse_args(argv)
     except _Help as e:
+        if sys.stdout is None:
+            print(f"{PROG}: error: standard output is closed", file=sys.stderr)
+            return 2
         sys.stdout.write(str(e))
         return 0
     except _UsageError as e:
@@ -441,6 +444,10 @@ def run(argv: list[str]) -> int:
         return 2
 
     out: typing.TextIO = sys.stdout
+    if out is None and not args.output:
+        # the interpreter started with file descriptor 1 closed
+        print(f"{PROG}: error: standard output is closed; use --output PATH", file=sys.stderr)
+        return 2
     opened = False
     try:
         if args.output:
@@ -473,7 +480,23 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    """The ``binframe`` console command: ``run`` on ``sys.argv``, then exit.
+
+    Everything built so far (the interpreter, ``site`` and this package)
+    lives until exit, so ``gc.freeze`` moves it out of the collector's
+    reach and the collections a job and its exit trigger skip it.  An
+    exception that escapes ``run`` is a crash, reported as an internal
+    error with exit 2, never as a negative answer.
+    """
+    import gc
+
+    gc.freeze()
+    try:
+        code = run(sys.argv[1:])
+    except Exception as e:
+        print(f"{PROG}: internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        code = 2
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -276,11 +276,7 @@ class BinMatrix(_Record):
     # -- arithmetic --------------------------------------------------------
 
     def transpose(self) -> "BinMatrix":
-        cols, data = self.cols, self.data
-        # column j is every cols-th character of the rows' bit strings,
-        # last row first
-        text = "".join([format(r, f"0{cols}b") for r in reversed(data)])
-        return BinMatrix(len(data), tuple([int(text[j::cols], 2) for j in range(cols - 1, -1, -1)]))
+        return BinMatrix(len(self.data), _columns(self.data, self.cols))
 
     def __add__(self, other: "BinMatrix") -> "BinMatrix":
         if self.shape != other.shape:
@@ -325,6 +321,15 @@ class BinMatrix(_Record):
 
     def __str__(self) -> str:
         return "\n".join(self.to_bitstring_rows())
+
+
+def _columns(data: Sequence[int], cols: int) -> tuple[int, ...]:
+    """The columns of the matrix with rows ``data`` and ``cols`` columns:
+    bit i of column j is bit j of row i."""
+    # column j is every cols-th character of the rows' bit strings,
+    # last row first
+    text = "".join([format(r, f"0{cols}b") for r in reversed(data)])
+    return tuple([int(text[j::cols], 2) for j in range(cols - 1, -1, -1)])
 
 
 class AffineSolutionSet(_Record):
@@ -403,52 +408,57 @@ class Echelon:
         self._pivots |= low
         return True
 
-    def solutions(self, cols: int) -> AffineSolutionSet:
+    def reduced_solutions(self, cols: int) -> tuple[int, list[int]] | None:
         """Solutions of the system whose equations are the stored rows,
         with bits below ``cols`` as coefficients and bit ``cols`` as the
-        right-hand side.
+        right-hand side, as ints: ``(particular, null basis)``, or None
+        when a pivot at bit ``cols`` or above makes it inconsistent.
 
-        A pivot at bit ``cols`` or above makes the system inconsistent.
-        The null basis has one vector per free column, in ascending
-        column order.
+        The particular solution is 0 in every free column.  The null
+        basis has one vector per free column f, in ascending column
+        order; vector f is 1 in column f and 0 in the other free columns.
+        Both are read off the columns of the rows placed by pivot.
         """
         if self._pivots >> cols:
+            return None
+        by_pivot = [0] * cols
+        for pivot, r in self._rows.items():
+            by_pivot[pivot.bit_length() - 1] = r
+        columns = _columns(by_pivot, cols + 1)
+        free = [f for f in range(cols) if not (self._pivots >> f) & 1]
+        return columns[cols], [(1 << f) | columns[f] for f in free]
+
+    def solutions(self, cols: int) -> AffineSolutionSet:
+        """``reduced_solutions`` as an ``AffineSolutionSet``."""
+        found = self.reduced_solutions(cols)
+        if found is None:
             return AffineSolutionSet(cols, None, ())
-        part = 0
-        for pivot, r in self._rows.items():
-            if (r >> cols) & 1:
-                part |= pivot
-        basis = []
-        free = ((1 << cols) - 1) & ~self._pivots
-        while free:
-            bit = free & -free
-            free ^= bit
-            vec = bit
-            for pivot, r in self._rows.items():
-                if r & bit:
-                    vec |= pivot
-            basis.append(BinVector(cols, vec))
-        return AffineSolutionSet(cols, BinVector(cols, part), tuple(basis))
+        part, nulls = found
+        return AffineSolutionSet(cols, BinVector(cols, part), tuple(BinVector(cols, v) for v in nulls))
 
-    def first_two(self, cols: int) -> tuple[int, ...]:
-        """The first members of ``solutions(cols)``, at most two, as ints.
 
-        That is () for an inconsistent system, (particular,) when no
-        column is free, else (particular, particular + first null
-        vector), in one pass over the stored rows instead of building the
-        whole null basis.
-        """
-        if self._pivots >> cols:
-            return ()
-        free = ((1 << cols) - 1) & ~self._pivots
-        bit = free & -free
-        part, null = 0, bit
-        for pivot, r in self._rows.items():
-            if (r >> cols) & 1:
-                part |= pivot
-            if r & bit:
-                null |= pivot
-        return (part, part ^ null) if bit else (part,)
+def _impose(part: int | None, nulls: list[int], x: int) -> tuple[int | None, list[int]]:
+    """A solution set ``(part, nulls)`` in the form ``reduced_solutions``
+    gives, cut down by the equation (x, y) = 0, in the same form; part
+    None is the empty set.
+
+    With a_f = (x, n_f), the lowest free column f* with a_f = 1 becomes a
+    pivot: n_f* leaves the basis, every other n_f with a_f = 1 and, when
+    (x, part) = 1, the particular solution gain n_f*.  This is what adding
+    x to the reduced echelon form does, at the cost of one dot product
+    per free column.
+    """
+    if part is None:
+        return None, []
+    for i, star in enumerate(nulls):
+        if (x & star).bit_count() & 1:
+            break
+    else:
+        # (x, y) = (x, part) on the whole set
+        return (None, []) if (x & part).bit_count() & 1 else (part, nulls)
+    if (x & part).bit_count() & 1:
+        part ^= star
+    return part, nulls[:i] + [v ^ star if (x & v).bit_count() & 1 else v for v in nulls[i + 1 :]]
 
 
 def solve(a: BinMatrix, b: BinVector) -> AffineSolutionSet:

@@ -4,11 +4,13 @@ An orthonormal sequence in GF(2)^k extends to an orthonormal basis exactly
 when its vector sum differs from the all-ones vector.  The extension is
 built one vector at a time by ``_orthonormal_fill``, the construction that
 also factors Gram matrices (``gramfactor``): each new vector solves the
-stacked system (constraints; vectors so far; all-ones row) x = (0; 0; 1),
-kept as one echelon that grows by each vector found instead of being
-solved again.  A Parseval frame has a complementary Parseval frame exactly
-when at least one frame vector is even, and the complement falls out of
-extending the analysis matrix's columns to an orthonormal basis.
+stacked system (constraints; vectors so far; all-ones row) x = (0; 0; 1).
+The solution set is read off once, as a particular solution and one null
+vector per free column, and each vector found cuts it down by one
+orthogonality equation instead of the system being solved again.  A
+Parseval frame has a complementary Parseval frame exactly when at least
+one frame vector is even, and the complement falls out of extending the
+analysis matrix's columns to an orthonormal basis.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from collections.abc import Iterable, Sequence
 
 from .errors import DimensionError, ExtensionObstruction, InvalidInput
 from .frames import is_parseval
-from .gf2 import BinMatrix, BinVector, Echelon, _Record
+from .gf2 import BinMatrix, BinVector, Echelon, _impose, _Record
 
 __all__ = [
     "OrthonormalSequence",
@@ -106,8 +108,11 @@ def _orthonormal_fill(
     system (constraints; vectors so far; all-ones row) x = (0; 0; 1),
     except that while room remains (s <= n - 2) the unique solution that
     makes the running sum equal ``target`` is skipped: it alone would leave
-    the next system inconsistent.  The system is one echelon, holding the
-    constraints on entry, that grows by each vector found.
+    the next system inconsistent.  The solution set is read off once, from
+    the echelon of the constraints, the all-ones row and ``start``; each
+    vector x found then cuts it down by the equation (x, y) = 0.  The
+    reduced solution set is unique, like the reduced echelon form, so this
+    picks the vectors that solving each system afresh would.
     """
     system.add(((1 << k) - 1) | (1 << k))
     found = list(start)
@@ -115,15 +120,16 @@ def _orthonormal_fill(
     for v in found:
         system.add(v)
         total ^= v
+    part, nulls = system.reduced_solutions(k) or (None, [])
     for s in range(len(found), n):
-        # only one solution can hit the target, so the first two suffice
-        for x in system.first_two(k):
+        # the first two Gray-code members; only one can hit the target
+        for x in (part, part ^ nulls[0]) if nulls else () if part is None else (part,):
             if s > n - 2 or total ^ x != target:
                 break
         else:
             raise RuntimeError(f"no admissible vector {s + 1} of {n} in GF(2)^{k}")
         found.append(x)
-        system.add(x)
+        part, nulls = _impose(part, nulls, x)
         total ^= x
     return found
 

@@ -476,6 +476,64 @@ def reference_factor_gram(m_rows: tuple[int, ...], k: int) -> list[int]:
     return columns
 
 
+def reference_incremental_fill(
+    k: int, constraints: list[int], start: list[int], n: int, target: int
+) -> list[int]:
+    """The orthonormal fill as an echelon grown by each vector found:
+    extend ``start`` to ``n`` vectors, each the first Gray-code solution of
+    (constraints; vectors so far; all-ones) x = (0; 0; 1), skipping while
+    room remains the one solution that makes the running sum ``target``.
+
+    The echelon is kept fully reduced (pivot = lowest set bit, cleared
+    from every other row) and each step reads only its first two members:
+    the particular solution and the one that adds the lowest free
+    column's null vector.  Raises RuntimeError when no vector fits.
+    """
+    rows: dict[int, int] = {}  # pivot bit -> row, right-hand side in bit k
+
+    def add(row: int) -> None:
+        for pivot, r in rows.items():
+            if row & pivot:
+                row ^= r
+        if row:
+            low = row & -row
+            for pivot, r in rows.items():
+                if r & low:
+                    rows[pivot] = r ^ row
+            rows[low] = row
+
+    def first_two() -> tuple[int, ...]:
+        pivots = sum(rows)
+        if pivots >> k:
+            return ()
+        free = ((1 << k) - 1) & ~pivots
+        bit = free & -free
+        part, null = 0, bit
+        for pivot, r in rows.items():
+            if (r >> k) & 1:
+                part |= pivot
+            if r & bit:
+                null |= pivot
+        return (part, part ^ null) if bit else (part,)
+
+    for row in constraints + [((1 << k) - 1) | (1 << k)] + start:
+        add(row)
+    found = list(start)
+    total = 0
+    for v in found:
+        total ^= v
+    for s in range(len(found), n):
+        for x in first_two():
+            if s > n - 2 or total ^ x != target:
+                break
+        else:
+            raise RuntimeError(f"no admissible vector {s + 1} of {n} in GF(2)^{k}")
+        found.append(x)
+        add(x)
+        total ^= x
+    return found
+
+
 def random_orthonormal_sequence(rng, k: int, r: int) -> list[int]:
     """Up to r pairwise orthonormal vectors in GF(2)^k, each drawn uniformly
     from the odd vectors orthogonal to the ones before it; shorter when the

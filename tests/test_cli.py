@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from binframe import enum_cyclic_gram
-from binframe.cli import _COMMANDS, _Help, _option, _UsageError, parse_args, run
+from binframe.cli import _COMMANDS, _Help, _option, _UsageError, main, parse_args, run
 from binframe.equiv import SEARCH_BUDGET
 from oracles import (
     ArgparseUsageError,
@@ -937,3 +937,89 @@ def test_package_has_no_assert_statements():
         tree = ast.parse(path.read_text(), filename=str(path))
         found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not found, f"{path.name}: assert at lines {found}"
+
+
+def test_closed_stdout_is_refused_not_a_no(write):
+    """With file descriptor 1 closed the interpreter has no sys.stdout: a
+    command refuses with exit 2 and one error line, unless --output names
+    a file to write instead."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+
+    def closed_stdout(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "binframe.cli", *argv], stderr=subprocess.PIPE, text=True,
+            env=env, timeout=120, check=False, preexec_fn=lambda: os.close(1),
+        )
+
+    proc = closed_stdout("enum", "cyclic", "--k", "34")
+    assert proc.returncode == 2
+    assert proc.stderr == "binframe: error: standard output is closed; use --output PATH\n"
+    proc = closed_stdout("--help")
+    assert (proc.returncode, proc.stderr) == (2, "binframe: error: standard output is closed\n")
+    target = write("out.txt", "")
+    proc = closed_stdout("enum", "cyclic", "--k", "4", "--output", target)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert Path(target).read_text() == "1000\n"
+
+
+def test_main_reports_a_crash_as_an_internal_error(write, capsys, monkeypatch):
+    """An exception escaping ``run`` exits 2 through ``main``, never 1."""
+
+    def broken(_):
+        raise ValueError("unexpected state")
+
+    monkeypatch.setattr("gc.freeze", lambda: None)
+    monkeypatch.setattr("binframe.cli.factor_gram", broken)
+    monkeypatch.setattr(sys, "argv", ["binframe", "factor", write("j3.txt", "111\n111\n111\n")])
+    with pytest.raises(SystemExit) as exit_info:
+        main()
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "binframe: internal error: ValueError: unexpected state\n"
+
+
+def test_main_freezes_the_heap_once_before_dispatch(monkeypatch):
+    calls = []
+    monkeypatch.setattr("gc.freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr("binframe.cli.run", lambda argv: calls.append(("run", argv)) or 0)
+    monkeypatch.setattr(sys, "argv", ["binframe", "enum", "cyclic", "--k", "4"])
+    with pytest.raises(SystemExit) as exit_info:
+        main()
+    assert exit_info.value.code == 0
+    assert calls == ["freeze", ("run", ["enum", "cyclic", "--k", "4"])]
+
+
+def test_run_never_freezes_the_heap(write, capsys, monkeypatch):
+    """Library callers of ``run`` keep the normal collector."""
+    calls = []
+    monkeypatch.setattr("gc.freeze", lambda: calls.append("freeze"))
+    assert run(["enum", "cyclic", "--k", "9"]) == 0
+    assert run(["factor", write("j3.txt", "111\n111\n111\n")]) == 0
+    assert run(["--help"]) == 0
+    assert run(["frobnicate"]) == 2
+    capsys.readouterr()
+    assert calls == []
+
+
+def test_every_command_is_clean_under_dev_mode_with_warnings_as_errors(write):
+    """``python -X dev -W error`` shows unclosed files and other resource
+    warnings; no command leans on exit-time cleanup, so each exits with
+    its code and prints only its own message."""
+    ident = write("id.txt", "100\n010\n001\n")
+    cases = [
+        (("check", "parseval", write("two.txt", "1\n1\n")), 1, ""),
+        (("gram", ident, "--output", write("g.txt", "")), 0, ""),
+        (("factor", write("hollow.txt", "011\n101\n110\n")), 1, "binframe: no: not a Gram matrix: all columns even\n"),
+        (("complement", write("theta.json", _json_matrix(["11", "11", "10", "01"])), "--format", "json", "--output", write("c.json", "")), 0, ""),
+        (("extend", write("seed.txt", "1110000\n0001000\n")), 0, ""),
+        (("reconstruct", ident, "--x", "101"), 0, ""),
+        (("enum", "cyclic", "--k", "9"), 0, ""),
+        (("equiv", "perm", ident, write("p.txt", "010\n100\n001\n")), 0, ""),
+        (("canon", write("m.txt", "010\n100\n001\n"), "--mode", "conjugation"), 0, ""),
+        (("canon", ident, "--k", "3"), 2, "binframe: error: unrecognized arguments: --k 3\n"),
+    ]
+    assert {argv[0] for argv, _, _ in cases} == set(_COMMANDS)
+    for argv, code, err in cases:
+        proc = _run_child("-X", "dev", "-W", "error", "-m", "binframe.cli", *argv)
+        assert (proc.returncode, proc.stderr) == (code, err), argv

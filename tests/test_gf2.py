@@ -13,7 +13,7 @@ from binframe import (
     DimensionError,
     solve,
 )
-from binframe.gf2 import Echelon
+from binframe.gf2 import Echelon, _impose
 from oracles import gauss_jordan_solve, int_product_rows, matrix_rows_of_columns
 
 
@@ -366,12 +366,15 @@ def echelon_systems(draw):
     return draw(st.permutations(rows)), cols
 
 
-@given(echelon_systems())
+@given(echelon_systems(), st.data())
 @settings(max_examples=400)
-def test_first_two_equals_head_of_solution_set(system):
-    """The two-member read gives the first two Gray-code members of the
-    whole solution set: none when inconsistent, one with no free column."""
+def test_imposing_an_equation_equals_adding_its_row(system, data):
+    """Cutting the reduced solution set by (x, y) = 0 gives the solution
+    set of the echelon that also holds the row x: the same particular
+    solution and null basis, empty when the cut leaves nothing."""
     rows, cols = system
-    echelon = Echelon(rows)
-    head = [v.bits for v in echelon.solutions(cols)][:2]
-    assert list(echelon.first_two(cols)) == head
+    x = data.draw(st.integers(0, (1 << cols) - 1))
+    part, nulls = Echelon(rows).reduced_solutions(cols) or (None, [])
+    part, nulls = _impose(part, nulls, x)
+    cut = AffineSolutionSet(cols, None if part is None else BinVector(cols, part), tuple(BinVector(cols, v) for v in nulls))
+    assert cut == Echelon(rows + [x]).solutions(cols)

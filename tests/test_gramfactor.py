@@ -31,6 +31,7 @@ from oracles import (
     random_orthonormal_sequence,
     rank_int_rows,
     reference_factor_gram,
+    reference_incremental_fill,
 )
 
 
@@ -263,3 +264,18 @@ def test_factor_at_k512_meets_definitions():
     cols = matrix_rows_of_columns(theta.data, n)
     assert all(int_dot(cols[a], cols[b]) == (a == b) for a in range(n) for b in range(n))
     assert int_product_rows(theta.data, cols) == m
+
+
+def test_factor_matches_incremental_reference_at_k1024():
+    """At k = 1024 the columns of theta are the vectors of the incremental
+    echelon holding the kernel rows of I + m, seeded as factor_gram seeds."""
+    rng = random.Random(1031)
+    k, n = 1024, 512
+    theta_in = [r & ((1 << n) - 1) for r in random_orthogonal_rows(rng, k)]
+    m = int_product_rows(tuple(theta_in), matrix_rows_of_columns(tuple(theta_in), n))
+    target = sum((r.bit_count() & 1) << i for i, r in enumerate(m))
+    seed = m[(target & -target).bit_length() - 1]
+    kernel = [r ^ (1 << i) for i, r in enumerate(m)]
+    start = [seed] if n == 1 or seed != target else []
+    expected = reference_incremental_fill(k, kernel, start, n, target)
+    assert _theta_cols(BinMatrix(k, m)) == expected

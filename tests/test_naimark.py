@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binframe import (
     BinMatrix,
@@ -18,6 +20,8 @@ from binframe import (
     is_parseval,
     naimark_complement,
 )
+from binframe.gf2 import Echelon
+from binframe.naimark import _orthonormal_fill
 from oracles import (
     all_orthonormal_sets,
     complement_exists_brute,
@@ -27,6 +31,7 @@ from oracles import (
     random_orthogonal_rows,
     random_orthonormal_sequence,
     reference_extend_to_basis,
+    reference_incremental_fill,
 )
 
 
@@ -310,3 +315,51 @@ def test_complement_and_extend_at_k512_meet_definitions():
     ext = [v.bits for v in extend_to_basis(OrthonormalSequence(k, tuple(BinVector(k, v) for v in prefix))).vecs]
     assert ext[:300] == prefix and len(ext) == k
     assert all(int_dot(ext[a], ext[b]) == (a == b) for a in range(k) for b in range(k))
+
+
+# -- the fill against the incremental echelon it replaced --------------------
+
+
+@given(st.integers(1, 64), st.randoms(use_true_random=False), st.data())
+@settings(max_examples=200, deadline=None)
+def test_fill_matches_incremental_reference(k, rng, data):
+    """Orthonormal columns of a random orthogonal matrix split into
+    constraints, start vectors and the rest; the fill to a drawn length
+    and target picks the same vectors as the incremental echelon, or both
+    find no admissible vector."""
+    cols = matrix_rows_of_columns(tuple(random_orthogonal_rows(rng, k)), k)
+    c = data.draw(st.integers(0, k - 1))
+    s = data.draw(st.integers(0, k - c))
+    n = data.draw(st.integers(s, k - c))
+    constraints, start = list(cols[:c]), list(cols[c : c + s])
+    total = 0
+    for v in start:
+        total ^= v
+    target = data.draw(st.sampled_from([(1 << k) - 1, total, rng.getrandbits(k)]))
+    try:
+        expected = reference_incremental_fill(k, constraints, start, n, target)
+    except RuntimeError:
+        with pytest.raises(RuntimeError):
+            _orthonormal_fill(k, Echelon(constraints), start, n, target)
+        return
+    assert _orthonormal_fill(k, Echelon(constraints), start, n, target) == expected
+
+
+def test_complement_and_extension_match_incremental_reference_at_k1024():
+    """At k = 1024 the complement of a random Parseval frame and the
+    extension of its columns' prefix are the vectors of the incremental
+    echelon."""
+    rng = random.Random(1024)
+    k, n = 1024, 512
+    ones = (1 << k) - 1
+    while True:
+        theta_rows = [r & ((1 << n) - 1) for r in random_orthogonal_rows(rng, k)]
+        if any(not r.bit_count() & 1 for r in theta_rows):
+            break
+    cols = list(matrix_rows_of_columns(tuple(theta_rows), n))
+    psi = naimark_complement(BinMatrix(n, tuple(theta_rows)))
+    assert [c.bits for c in psi.col_vectors()] == reference_incremental_fill(k, [], cols, k, ones)[n:]
+    prefix = cols[: n // 2]
+    seq = OrthonormalSequence(k, tuple(BinVector(k, v) for v in prefix))
+    ext = extend_to_basis(seq)
+    assert [v.bits for v in ext.vecs] == reference_incremental_fill(k, [], prefix, k, ones)
