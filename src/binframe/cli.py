@@ -11,11 +11,14 @@ machine-readable witness object; other modes print a reason to stderr.
 
 from __future__ import annotations
 
+import os
 import sys
 from types import SimpleNamespace
 
-from . import catalog as cat
-from .equiv import MODE_CONJUGATION, MODE_INDEPENDENT, canonical_form, permutation_equivalent, switching_equivalent
+# Start-up loads what parsing and reporting need; each handler imports
+# the module it calls, so a job loads only its own command's modules.
+# The canon --mode choices are parse-time data and load ``equiv``.
+from .equiv import MODE_CONJUGATION, MODE_INDEPENDENT
 from .errors import (
     BinFrameError,
     ExtensionObstruction,
@@ -25,11 +28,8 @@ from .errors import (
     ParseError,
     ShapeError,
 )
-from .frames import Frame, gram, is_orthogonal, is_parseval, reconstruct
 from .formats import FORMATS, json_line, matrix_doc, parse_matrix, parse_vector, render_matrix
 from .gf2 import BinMatrix
-from .gramfactor import GramCandidate, factor_gram, is_gram_of_parseval
-from .naimark import OrthonormalSequence, extend_to_basis, naimark_complement
 
 # Annotations stay strings (PEP 563), so ``typing.TextIO`` below never
 # imports ``typing``.
@@ -209,6 +209,17 @@ class _Negative(Exception):
         self.witness = witness
 
 
+def _say(message: str) -> None:
+    """``binframe: message`` as one line on stderr.  A write that fails,
+    as to a closed stderr, is dropped: the exit code still carries the
+    outcome."""
+    if sys.stderr is not None:
+        try:
+            print(f"{PROG}: {message}", file=sys.stderr)
+        except OSError:
+            pass
+
+
 def _emit_negative(neg: _Negative, args, out: typing.TextIO) -> int:
     if args.format == "json":
         doc = {"ok": False, "reason": neg.reason}
@@ -216,7 +227,7 @@ def _emit_negative(neg: _Negative, args, out: typing.TextIO) -> int:
             doc["witness"] = neg.witness
         out.write(json_line(doc))
     if not args.quiet:
-        print(f"{PROG}: no: {neg.reason}", file=sys.stderr)
+        _say(f"no: {neg.reason}")
     return 1
 
 
@@ -244,6 +255,9 @@ def _emit_matrix(args, out: typing.TextIO, m: BinMatrix, name: str, **extra) -> 
 
 
 def _cmd_check(args, out: typing.TextIO) -> int:
+    from .frames import is_orthogonal, is_parseval
+    from .gramfactor import GramCandidate, is_gram_of_parseval
+
     m = _load_matrix(args.file, args.format)
     if args.property == "parseval":
         return _answer(args, out, "parseval", is_parseval(m))
@@ -257,11 +271,15 @@ def _cmd_check(args, out: typing.TextIO) -> int:
 
 
 def _cmd_gram(args, out: typing.TextIO) -> int:
+    from .frames import gram
+
     out.write(render_matrix(gram(_load_matrix(args.file, args.format)), args.format))
     return 0
 
 
 def _cmd_factor(args, out: typing.TextIO) -> int:
+    from .gramfactor import GramCandidate, factor_gram
+
     m = _load_matrix(args.file, args.format)
     try:
         cand = GramCandidate(m)
@@ -276,6 +294,8 @@ def _cmd_factor(args, out: typing.TextIO) -> int:
 
 
 def _cmd_complement(args, out: typing.TextIO) -> int:
+    from .naimark import naimark_complement
+
     theta = _load_matrix(args.file, args.format)
     try:
         psi = naimark_complement(theta)
@@ -286,6 +306,8 @@ def _cmd_complement(args, out: typing.TextIO) -> int:
 
 
 def _cmd_extend(args, out: typing.TextIO) -> int:
+    from .naimark import OrthonormalSequence, extend_to_basis
+
     m = _load_matrix(args.file, args.format)
     try:
         seq = OrthonormalSequence(m.cols, m.row_vectors())
@@ -299,6 +321,8 @@ def _cmd_extend(args, out: typing.TextIO) -> int:
 
 
 def _cmd_reconstruct(args, out: typing.TextIO) -> int:
+    from .frames import Frame, reconstruct
+
     frame = Frame.from_analysis(_load_matrix(args.file, args.format))
     x = parse_vector(args.x)
     y = reconstruct(x, frame)
@@ -311,10 +335,12 @@ def _cmd_reconstruct(args, out: typing.TextIO) -> int:
 
 
 def _cmd_enum(args, out: typing.TextIO) -> int:
+    from .catalog import enum_cyclic_gram, enum_nonrepeating, enum_orthogonal
+
     if args.kind == "orthogonal":
         if args.nonrepeating:
             raise _UsageError("--nonrepeating applies to `enum cyclic` only")
-        catalog = cat.enum_orthogonal(args.k)
+        catalog = enum_orthogonal(args.k)
         for m, cols in zip(catalog.classes, catalog.column_sets()):
             if args.format == "cols-int":
                 out.write(" ".join(map(str, cols)) + "\n")
@@ -324,7 +350,7 @@ def _cmd_enum(args, out: typing.TextIO) -> int:
                 out.write(render_matrix(m, "dense") + "\n")
         return 0
     if args.nonrepeating:
-        for pair in cat.enum_nonrepeating(args.k):
+        for pair in enum_nonrepeating(args.k):
             row = pair.gram.first_row
             if args.format == "cols-int":
                 cols = " ".join(map(str, pair.theta.transpose().data))
@@ -341,7 +367,7 @@ def _cmd_enum(args, out: typing.TextIO) -> int:
                 out.write(f"k={pair.gram.k} n={pair.gram.rank} gram={row.to_bitstring()}\n")
                 out.write(render_matrix(pair.theta, "dense") + "\n")
         return 0
-    for cg in cat.enum_cyclic_gram(args.k):
+    for cg in enum_cyclic_gram(args.k):
         if args.format == "cols-int":
             out.write(f"{cg.first_row.bits}\n")
         elif args.format == "json":
@@ -358,6 +384,9 @@ def _cmd_enum(args, out: typing.TextIO) -> int:
 
 
 def _cmd_equiv(args, out: typing.TextIO) -> int:
+    from .equiv import permutation_equivalent, switching_equivalent
+    from .frames import Frame
+
     a = _load_matrix(args.file1, args.format)
     b = _load_matrix(args.file2, args.format)
     if args.relation == "perm":
@@ -367,6 +396,8 @@ def _cmd_equiv(args, out: typing.TextIO) -> int:
 
 
 def _cmd_canon(args, out: typing.TextIO) -> int:
+    from .equiv import canonical_form
+
     m = _load_matrix(args.file, args.format)
     result = canonical_form(m, args.mode)
     row_perm, col_perm = list(result.row_perm), list(result.col_perm)
@@ -435,18 +466,18 @@ def run(argv: list[str]) -> int:
         args = parse_args(argv)
     except _Help as e:
         if sys.stdout is None:
-            print(f"{PROG}: error: standard output is closed", file=sys.stderr)
+            _say("error: standard output is closed")
             return 2
         sys.stdout.write(str(e))
         return 0
     except _UsageError as e:
-        print(f"{PROG}: error: {e}", file=sys.stderr)
+        _say(f"error: {e}")
         return 2
 
     out: typing.TextIO = sys.stdout
     if out is None and not args.output:
         # the interpreter started with file descriptor 1 closed
-        print(f"{PROG}: error: standard output is closed; use --output PATH", file=sys.stderr)
+        _say("error: standard output is closed; use --output PATH")
         return 2
     opened = False
     try:
@@ -457,22 +488,22 @@ def run(argv: list[str]) -> int:
     except _Negative as neg:
         return _emit_negative(neg, args, out)
     except _UsageError as e:
-        print(f"{PROG}: error: {e}", file=sys.stderr)
+        _say(f"error: {e}")
         return 2
     except ParseError as e:
         where = f" at line {e.line}, column {e.column}" if e.line else ""
-        print(f"{PROG}: parse error{where}: {e}", file=sys.stderr)
+        _say(f"parse error{where}: {e}")
         return 2
     except (InvalidInput, NotSpanningError) as e:
         return _emit_negative(_Negative(str(e)), args, out)
     except OSError as e:
-        print(f"{PROG}: {e}", file=sys.stderr)
+        _say(str(e))
         return 2
     except BinFrameError as e:
-        print(f"{PROG}: error: {e}", file=sys.stderr)
+        _say(f"error: {e}")
         return 2
     except RuntimeError as e:  # a broken internal check must not read as a "no"
-        print(f"{PROG}: internal error: {e}", file=sys.stderr)
+        _say(f"internal error: {e}")
         return 2
     finally:
         if opened:
@@ -482,21 +513,29 @@ def run(argv: list[str]) -> int:
 def main() -> None:
     """The ``binframe`` console command: ``run`` on ``sys.argv``, then exit.
 
-    Everything built so far (the interpreter, ``site`` and this package)
-    lives until exit, so ``gc.freeze`` moves it out of the collector's
-    reach and the collections a job and its exit trigger skip it.  An
-    exception that escapes ``run`` is a crash, reported as an internal
-    error with exit 2, never as a negative answer.
+    An exception that escapes ``run`` is a crash, reported as an internal
+    error with exit 2, never as a negative answer.  The process leaves by
+    ``os._exit`` once stdout and stderr are flushed, skipping interpreter
+    teardown: ``run`` has closed every file it opened, so nothing else
+    holds output.  An output that cannot be flushed is exit 2.
     """
-    import gc
-
-    gc.freeze()
     try:
         code = run(sys.argv[1:])
     except Exception as e:
-        print(f"{PROG}: internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        _say(f"internal error: {type(e).__name__}: {e}")
         code = 2
-    sys.exit(code)
+    if sys.stdout is not None:
+        try:
+            sys.stdout.flush()
+        except OSError as e:
+            _say(str(e))
+            code = 2
+    if sys.stderr is not None:
+        try:
+            sys.stderr.flush()
+        except OSError:
+            pass
+    os._exit(code)
 
 
 if __name__ == "__main__":

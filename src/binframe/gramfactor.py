@@ -15,7 +15,7 @@ deterministic.
 from __future__ import annotations
 
 from .errors import InvalidInput, NotGramMatrix, ShapeError
-from .gf2 import BinMatrix, BinVector, Echelon, _Record
+from .gf2 import BinMatrix, BinVector, _Record
 from .naimark import _orthonormal_fill
 
 __all__ = [
@@ -106,18 +106,18 @@ def factor_gram(cand: GramCandidate) -> Factorization:
             "all columns even; not the Gram matrix of a Parseval frame",
             witness=(0,) * k,
         )
-    # the rows of I + m span ker m, and as m is idempotent, GF(2)^k is
-    # range m + ker m, so rank m = k - rank(I + m)
-    kernel = Echelon((m + BinMatrix.identity(k)).data)
-    n = k - len(kernel)
-    # For a non-empty orthonormal set W in range(m), the all-ones vector
-    # lies in span(ker m, W) iff sum(W) = m ones (dot with each w in W),
-    # and then no further column can be found; so m ones is the sum to
-    # avoid while columns remain.  The seed is the lowest-index odd
-    # column, read as the equal row.
+    # The rows of I + m span ker m, and as m is idempotent, GF(2)^k is
+    # range m + ker m, so the fill's columns run out at rank m.  For a
+    # non-empty orthonormal set W in range(m), the all-ones vector lies in
+    # span(ker m, W) iff sum(W) = m ones (dot with each w in W), and then
+    # no further column can be found; so m ones is the sum to avoid while
+    # columns remain.  The seed is the lowest-index odd column, read as
+    # the equal row; when it equals m ones it is the first solution
+    # anyway if rank m = 1, and must be avoided otherwise.
     seed = m.data[(target & -target).bit_length() - 1]
-    start = [seed] if n == 1 or seed != target else []
-    columns = _orthonormal_fill(k, kernel, start, n, target)
+    start = [seed] if seed != target else []
+    columns = _orthonormal_fill(k, (m + BinMatrix.identity(k)).data, start, target)
+    n = len(columns)
 
     theta_star = BinMatrix(k, tuple(columns))
     theta = theta_star.transpose()

@@ -98,29 +98,30 @@ def is_extendable(seq: OrthonormalSequence) -> bool:
     return seq.vector_sum() != BinVector.ones(seq.dim)
 
 
-def _orthonormal_fill(
-    k: int, system: Echelon, start: Sequence[int], n: int, target: int
-) -> list[int]:
-    """Extend the orthonormal vectors ``start`` in GF(2)^k to ``n`` vectors,
-    each odd, orthogonal to the others and to every row of ``system``.
+def _orthonormal_fill(k: int, constraints: Sequence[int], start: Sequence[int], target: int) -> list[int]:
+    """Extend the orthonormal vectors ``start`` in GF(2)^k by odd vectors,
+    each orthogonal to the others and to every row of ``constraints``,
+    until no further vector fits.
 
     Each new vector is the first Gray-code-ordered solution of the stacked
     system (constraints; vectors so far; all-ones row) x = (0; 0; 1),
-    except that while room remains (s <= n - 2) the unique solution that
-    makes the running sum equal ``target`` is skipped: it alone would leave
-    the next system inconsistent.  The solution set is read off once, from
-    the echelon of the constraints, the all-ones row and ``start``; each
-    vector x found then cuts it down by the equation (x, y) = 0.  The
-    reduced solution set is unique, like the reduced echelon form, so this
-    picks the vectors that solving each system afresh would.
+    except that while room remains (two or more vectors still to come) the
+    unique solution that makes the running sum equal ``target`` is
+    skipped: it alone would leave the next system inconsistent.  The
+    solution set is read off once, from one echelon of the constraints,
+    the all-ones row and ``start``; each vector x found then cuts it down
+    by the equation (x, y) = 0, which takes one dimension, and the last
+    vector takes the particular solution.  The reduced solution set is
+    unique, like the reduced echelon form, so this picks the vectors that
+    solving each system afresh would.
     """
-    system.add(((1 << k) - 1) | (1 << k))
+    system = Echelon([*constraints, ((1 << k) - 1) | (1 << k), *start])
+    part, nulls = system.reduced_solutions(k) or (None, [])
     found = list(start)
+    n = len(found) + (part is not None) + len(nulls)
     total = 0
     for v in found:
-        system.add(v)
         total ^= v
-    part, nulls = system.reduced_solutions(k) or (None, [])
     for s in range(len(found), n):
         # the first two Gray-code members; only one can hit the target
         for x in (part, part ^ nulls[0]) if nulls else () if part is None else (part,):
@@ -153,9 +154,13 @@ def extend_to_basis(seq: OrthonormalSequence) -> OrthonormalSequence:
         raise ExtensionObstruction(
             f"vector sum is the all-ones vector in GF(2)^{k}", witness=total
         )
-    vecs = _orthonormal_fill(k, Echelon(), [v.bits for v in seq.vecs], k, ones.bits)
-    # the constructor re-checks orthonormality, which forces the all-ones sum
-    return OrthonormalSequence(k, tuple(BinVector(k, v) for v in vecs))
+    vecs = _orthonormal_fill(k, (), [v.bits for v in seq.vecs], ones.bits)
+    # the constructor re-checks orthonormality, which forces the all-ones
+    # sum; a defect there is a broken construction, not a bad input
+    try:
+        return OrthonormalSequence(k, tuple(BinVector(k, v) for v in vecs))
+    except InvalidInput as e:
+        raise RuntimeError(f"extension failed its check: {e}") from e
 
 
 def has_naimark_complement(theta: BinMatrix) -> bool:
@@ -191,7 +196,13 @@ def naimark_complement(theta: BinMatrix) -> BinMatrix:
             "every frame vector is odd; no complement exists", witness=BinVector.ones(k)
         )
     # is_parseval has found the columns orthonormal, and an even frame
-    # vector keeps their sum off all-ones, so only the basis is re-checked
-    vecs = _orthonormal_fill(k, Echelon(), theta.transpose().data, k, (1 << k) - 1)
-    OrthonormalSequence(k, tuple(BinVector(k, v) for v in vecs))
-    return BinMatrix(k, tuple(vecs[n:])).transpose()
+    # vector keeps their sum off all-ones, so only the new vectors are
+    # re-checked, against every column v_j of the block (theta | psi):
+    # bit j of row i of psi* (theta | psi) is (psi_i, v_j), 1 iff j = n + i
+    vecs = _orthonormal_fill(k, (), theta.transpose().data, (1 << k) - 1)
+    psi_star = BinMatrix(k, tuple(vecs[n:]))
+    psi = psi_star.transpose()
+    block = BinMatrix(k, tuple(t | p << n for t, p in zip(theta.data, psi.data)))
+    if (psi_star @ block).data != tuple(1 << j for j in range(n, k)):
+        raise RuntimeError("complement failed its check: the extended basis is not orthonormal")
+    return psi

@@ -476,6 +476,31 @@ def reference_factor_gram(m_rows: tuple[int, ...], k: int) -> list[int]:
     return columns
 
 
+def echelon_add(rows: dict[int, int], row: int) -> None:
+    """One Gauss-Jordan step on a fully reduced echelon held as pivot bit
+    -> row (pivot = lowest set bit, cleared from every other row): reduce
+    ``row`` by the stored rows and, if anything is left, clear its pivot
+    from them and store it."""
+    for pivot, r in rows.items():
+        if row & pivot:
+            row ^= r
+    if row:
+        low = row & -row
+        for pivot, r in rows.items():
+            if r & low:
+                rows[pivot] = r ^ row
+        rows[low] = row
+
+
+def incremental_echelon(rows: list[int]) -> list[int]:
+    """The rows of the fully reduced echelon of ``rows``, added one at a
+    time, in ascending pivot order."""
+    stored: dict[int, int] = {}
+    for row in rows:
+        echelon_add(stored, row)
+    return [stored[pivot] for pivot in sorted(stored)]
+
+
 def reference_incremental_fill(
     k: int, constraints: list[int], start: list[int], n: int, target: int
 ) -> list[int]:
@@ -490,17 +515,6 @@ def reference_incremental_fill(
     column's null vector.  Raises RuntimeError when no vector fits.
     """
     rows: dict[int, int] = {}  # pivot bit -> row, right-hand side in bit k
-
-    def add(row: int) -> None:
-        for pivot, r in rows.items():
-            if row & pivot:
-                row ^= r
-        if row:
-            low = row & -row
-            for pivot, r in rows.items():
-                if r & low:
-                    rows[pivot] = r ^ row
-            rows[low] = row
 
     def first_two() -> tuple[int, ...]:
         pivots = sum(rows)
@@ -517,7 +531,7 @@ def reference_incremental_fill(
         return (part, part ^ null) if bit else (part,)
 
     for row in constraints + [((1 << k) - 1) | (1 << k)] + start:
-        add(row)
+        echelon_add(rows, row)
     found = list(start)
     total = 0
     for v in found:
@@ -529,7 +543,7 @@ def reference_incremental_fill(
         else:
             raise RuntimeError(f"no admissible vector {s + 1} of {n} in GF(2)^{k}")
         found.append(x)
-        add(x)
+        echelon_add(rows, x)
         total ^= x
     return found
 

@@ -531,7 +531,7 @@ def test_internal_error_exits_2(write, capsys, monkeypatch):
     def broken(_):
         raise RuntimeError("factorization failed its own check")
 
-    monkeypatch.setattr("binframe.cli.factor_gram", broken)
+    monkeypatch.setattr("binframe.gramfactor.factor_gram", broken)
     path = write("j3.txt", "111\n111\n111\n")
     assert run(["factor", path]) == 2
     captured = capsys.readouterr()
@@ -968,38 +968,145 @@ def test_main_reports_a_crash_as_an_internal_error(write, capsys, monkeypatch):
     def broken(_):
         raise ValueError("unexpected state")
 
-    monkeypatch.setattr("gc.freeze", lambda: None)
-    monkeypatch.setattr("binframe.cli.factor_gram", broken)
+    codes = []
+    monkeypatch.setattr(os, "_exit", codes.append)
+    monkeypatch.setattr("binframe.gramfactor.factor_gram", broken)
     monkeypatch.setattr(sys, "argv", ["binframe", "factor", write("j3.txt", "111\n111\n111\n")])
-    with pytest.raises(SystemExit) as exit_info:
-        main()
-    assert exit_info.value.code == 2
+    main()
+    assert codes == [2]
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "binframe: internal error: ValueError: unexpected state\n"
 
 
-def test_main_freezes_the_heap_once_before_dispatch(monkeypatch):
+class _Stream(io.StringIO):
+    """A text stream that logs each flush in ``calls``."""
+
+    def __init__(self, name, calls):
+        super().__init__()
+        self.name, self.calls = name, calls
+
+    def flush(self):
+        self.calls.append(("flush", self.name))
+        super().flush()
+
+
+def test_main_flushes_both_streams_then_exits_with_the_code(monkeypatch):
+    """``main`` skips interpreter teardown: it runs the job, flushes
+    stdout and stderr, and only then hands the code to ``os._exit``."""
     calls = []
-    monkeypatch.setattr("gc.freeze", lambda: calls.append("freeze"))
-    monkeypatch.setattr("binframe.cli.run", lambda argv: calls.append(("run", argv)) or 0)
+    monkeypatch.setattr(sys, "stdout", _Stream("stdout", calls))
+    monkeypatch.setattr(sys, "stderr", _Stream("stderr", calls))
+    monkeypatch.setattr(os, "_exit", lambda code: calls.append(("exit", code)))
+    monkeypatch.setattr("binframe.cli.run", lambda argv: calls.append(("run", argv)) or 1)
     monkeypatch.setattr(sys, "argv", ["binframe", "enum", "cyclic", "--k", "4"])
-    with pytest.raises(SystemExit) as exit_info:
-        main()
-    assert exit_info.value.code == 0
-    assert calls == ["freeze", ("run", ["enum", "cyclic", "--k", "4"])]
+    main()
+    assert calls == [("run", ["enum", "cyclic", "--k", "4"]), ("flush", "stdout"), ("flush", "stderr"), ("exit", 1)]
 
 
-def test_run_never_freezes_the_heap(write, capsys, monkeypatch):
-    """Library callers of ``run`` keep the normal collector."""
+def test_run_never_leaves_the_process(write, capsys, monkeypatch):
+    """Library callers of ``run`` keep normal exit and teardown."""
     calls = []
-    monkeypatch.setattr("gc.freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(os, "_exit", calls.append)
     assert run(["enum", "cyclic", "--k", "9"]) == 0
     assert run(["factor", write("j3.txt", "111\n111\n111\n")]) == 0
     assert run(["--help"]) == 0
     assert run(["frobnicate"]) == 2
     capsys.readouterr()
     assert calls == []
+
+
+def _buffered_env():
+    """The child environment of ``_run_child`` with stdout block-buffered:
+    ``PYTHONUNBUFFERED`` would flush each write and hide a lost tail."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def _close_stderr():
+    os.close(2)
+
+
+def _read_only_stderr():
+    # what 2>&- can leave when a launcher script starts the interpreter:
+    # the script file takes descriptor 2, read-only, so writes fail (EBADF)
+    os.dup2(os.open(os.devnull, os.O_RDONLY), 2)
+
+
+@pytest.mark.parametrize("stderr_state", [_close_stderr, _read_only_stderr])
+def test_unwritable_stderr_keeps_every_exit_code(stderr_state, write):
+    """When stderr cannot be written no message appears, on stderr or
+    stdout, and a refusal still exits 2, never 1; only a real "no"
+    exits 1."""
+    two = write("two.txt", "1\n1\n")
+    cases = [
+        (("check", "parseval", str(Path(two).with_name("absent.txt"))), 2, b""),
+        (("frobnicate",), 2, b""),
+        (("check", "parseval", write("bad.txt", "1x\n")), 2, b""),
+        (("check", "parseval", two), 1, b"parseval: no\n"),
+        (("check", "parseval", write("id.txt", "10\n01\n")), 0, b"parseval: yes\n"),
+    ]
+    for argv, code, out in cases:
+        proc = subprocess.run(
+            [sys.executable, "-m", "binframe.cli", *argv], stdout=subprocess.PIPE, env=_buffered_env(),
+            timeout=120, check=False, preexec_fn=stderr_state,
+        )
+        assert (proc.returncode, proc.stdout) == (code, out), argv
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_final_flush_exits_2():
+    """Output still buffered at exit that cannot be written is exit 2 with
+    the system's message, not a "no" or the interpreter's exit 120."""
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "binframe.cli", "enum", "cyclic", "--k", "9"], stdout=full, stderr=subprocess.PIPE,
+            text=True, env=_buffered_env(), timeout=120, check=False,
+        )
+    assert (proc.returncode, proc.stderr) == (2, "binframe: [Errno 28] No space left on device\n")
+
+
+def test_piped_stdout_keeps_its_buffered_tail(write):
+    """``main`` leaves by ``os._exit``; stdout read from a pipe to EOF is
+    every byte that ``--output`` writes."""
+    argv = [sys.executable, "-m", "binframe.cli", "enum", "cyclic", "--k", "63", "--format", "json"]
+    proc = subprocess.run(argv, capture_output=True, env=_buffered_env(), timeout=120, check=True)
+    target = write("k63.json", "")
+    subprocess.run([*argv, "--output", target], env=_buffered_env(), timeout=120, check=True)
+    assert proc.stdout == Path(target).read_bytes()
+    assert proc.stdout.count(b"\n") == len(enum_cyclic_gram(63)) > 100
+
+
+def test_factor_job_loads_only_its_own_modules(write):
+    """A ``factor`` child imports no catalog module.  ``equiv`` loads for
+    the ``canon --mode`` choices that parsing needs."""
+    path = write("j3.txt", "111\n111\n111\n")
+    proc = _run_child("-X", "importtime", "-m", "binframe.cli", "factor", path)
+    assert (proc.returncode, proc.stdout) == (0, "1\n1\n1\n")
+    loaded = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    assert {"binframe.gramfactor", "binframe.naimark"} <= loaded
+    assert "binframe.catalog" not in loaded
+
+
+@pytest.mark.parametrize("command", ["complement", "extend"])
+def test_failed_self_check_of_the_basis_is_an_internal_error(command, write, capsys, monkeypatch):
+    """A corrupted last vector of the orthonormal fill is caught by the
+    command's own check and reported with exit 2, not read as a "no"."""
+    from binframe import naimark
+
+    fill = naimark._orthonormal_fill
+
+    def corrupted(*args):
+        vecs = fill(*args)
+        return vecs[:-1] + [vecs[-1] ^ 1]
+
+    monkeypatch.setattr(naimark, "_orthonormal_fill", corrupted)
+    path = write("rows.txt", "1110000\n0001000\n") if command == "extend" else write("theta.txt", "11\n11\n10\n01\n")
+    assert run([command, path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"binframe: internal error: {'extension' if command == 'extend' else 'complement'} failed its check")
 
 
 def test_every_command_is_clean_under_dev_mode_with_warnings_as_errors(write):

@@ -14,7 +14,7 @@ from binframe import (
     solve,
 )
 from binframe.gf2 import Echelon, _impose
-from oracles import gauss_jordan_solve, int_product_rows, matrix_rows_of_columns
+from oracles import gauss_jordan_solve, incremental_echelon, int_product_rows, matrix_rows_of_columns
 
 
 def vec(*bits):
@@ -378,3 +378,58 @@ def test_imposing_an_equation_equals_adding_its_row(system, data):
     part, nulls = _impose(part, nulls, x)
     cut = AffineSolutionSet(cols, None if part is None else BinVector(cols, part), tuple(BinVector(cols, v) for v in nulls))
     assert cut == Echelon(rows + [x]).solutions(cols)
+
+
+# -- the blocked echelon build against the row-by-row one ---------------------
+
+
+def _echelon_rows(rows):
+    return sorted(Echelon(rows)._rows, key=lambda r: r & -r)
+
+
+@st.composite
+def echelon_inputs(draw):
+    """(rows, cols): rows of ``cols`` coefficient bits and a right-hand
+    side in bit ``cols``, with zero rows, repeated rows and sums of
+    earlier rows mixed in, at widths on both sides of a multiple of 8."""
+    cols = draw(st.integers(1, 40))
+    rows = draw(st.lists(st.integers(0, (1 << (cols + 1)) - 1), max_size=24))
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(("zero", "repeat", "sum")))
+        if kind == "zero" or not rows:
+            rows.append(0)
+        elif kind == "repeat":
+            rows.append(draw(st.sampled_from(rows)))
+        else:
+            rows.append(draw(st.sampled_from(rows)) ^ draw(st.sampled_from(rows)))
+    return draw(st.permutations(rows)), cols
+
+
+@given(echelon_inputs())
+@settings(max_examples=500)
+def test_blocked_echelon_matches_row_by_row_build(system):
+    """The reduced echelon form is unique, so the blocked build stores the
+    rows the per-row Gauss-Jordan build does, and reads the same solution
+    set off them."""
+    rows, cols = system
+    expected = incremental_echelon(rows)
+    echelon = Echelon(rows)
+    assert _echelon_rows(rows) == expected
+    assert len(echelon) == len(expected)
+    pivots = sum(r & -r for r in expected)
+    if pivots >> cols:
+        assert echelon.reduced_solutions(cols) is None
+    else:
+        particular, basis, _ = gauss_jordan_solve([r & ((1 << cols) - 1) for r in rows], cols, [(r >> cols) & 1 for r in rows])
+        assert echelon.reduced_solutions(cols) == (particular, basis)
+
+
+@pytest.mark.parametrize("k", [1024, 2048])
+def test_blocked_echelon_matches_row_by_row_build_at_scale(k):
+    """k rows of rank about k/2, with a right-hand side bit at k, as in
+    the fill's kernel systems."""
+    rng = random.Random(k)
+    half = [rng.getrandbits(k + 1) for _ in range(k // 2)]
+    rows = half + [a ^ b for a, b in zip(half, half[1:])] + [0]
+    rng.shuffle(rows)
+    assert _echelon_rows(rows) == incremental_echelon(rows)

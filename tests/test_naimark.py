@@ -20,7 +20,6 @@ from binframe import (
     is_parseval,
     naimark_complement,
 )
-from binframe.gf2 import Echelon
 from binframe.naimark import _orthonormal_fill
 from oracles import (
     all_orthonormal_sets,
@@ -324,25 +323,25 @@ def test_complement_and_extend_at_k512_meet_definitions():
 @settings(max_examples=200, deadline=None)
 def test_fill_matches_incremental_reference(k, rng, data):
     """Orthonormal columns of a random orthogonal matrix split into
-    constraints, start vectors and the rest; the fill to a drawn length
-    and target picks the same vectors as the incremental echelon, or both
-    find no admissible vector."""
+    constraints, start vectors and the rest; the fill with a drawn target
+    picks the same vectors as the incremental echelon run to the k - c
+    vectors that fit beside c constraints, or both find no admissible
+    vector."""
     cols = matrix_rows_of_columns(tuple(random_orthogonal_rows(rng, k)), k)
     c = data.draw(st.integers(0, k - 1))
     s = data.draw(st.integers(0, k - c))
-    n = data.draw(st.integers(s, k - c))
     constraints, start = list(cols[:c]), list(cols[c : c + s])
     total = 0
     for v in start:
         total ^= v
     target = data.draw(st.sampled_from([(1 << k) - 1, total, rng.getrandbits(k)]))
     try:
-        expected = reference_incremental_fill(k, constraints, start, n, target)
+        expected = reference_incremental_fill(k, constraints, start, k - c, target)
     except RuntimeError:
         with pytest.raises(RuntimeError):
-            _orthonormal_fill(k, Echelon(constraints), start, n, target)
+            _orthonormal_fill(k, constraints, start, target)
         return
-    assert _orthonormal_fill(k, Echelon(constraints), start, n, target) == expected
+    assert _orthonormal_fill(k, constraints, start, target) == expected
 
 
 def test_complement_and_extension_match_incremental_reference_at_k1024():
