@@ -31,7 +31,7 @@ from .errors import (
 from .formats import FORMATS, json_line, matrix_doc, parse_matrix, parse_vector, render_matrix
 from .gf2 import BinMatrix
 
-# Annotations stay strings (PEP 563), so ``typing.TextIO`` below never
+# Annotations stay strings (PEP 563), so ``typing.Iterable`` below never
 # imports ``typing``.
 
 PROG = "binframe"
@@ -200,15 +200,6 @@ def _load_matrix(path: str, fmt: str) -> BinMatrix:
         return parse_matrix(fh.read(), fmt)
 
 
-class _Negative(Exception):
-    """A well-posed question with answer no; carries the witness."""
-
-    def __init__(self, reason: str, witness=None):
-        super().__init__(reason)
-        self.reason = reason
-        self.witness = witness
-
-
 def _say(message: str) -> None:
     """``binframe: message`` as one line on stderr.  A write that fails,
     as to a closed stderr, is dropped: the exit code still carries the
@@ -220,197 +211,187 @@ def _say(message: str) -> None:
             pass
 
 
-def _emit_negative(neg: _Negative, args, out: typing.TextIO) -> int:
-    if args.format == "json":
-        doc = {"ok": False, "reason": neg.reason}
-        if neg.witness is not None:
-            doc["witness"] = neg.witness
-        out.write(json_line(doc))
-    if not args.quiet:
-        _say(f"no: {neg.reason}")
-    return 1
+def _negative(args, reason: str, witness=None) -> tuple[int, typing.Iterable[str]]:
+    """A well-posed question with answer no: exit 1, the witness document
+    in JSON mode, and the reason on stderr once the output is written."""
+
+    def chunks():
+        if args.format == "json":
+            doc = {"ok": False, "reason": reason}
+            if witness is not None:
+                doc["witness"] = witness
+            yield json_line(doc)
+        if not args.quiet:
+            _say(f"no: {reason}")
+
+    return 1, chunks()
 
 
-def _answer(args, out: typing.TextIO, name: str, value: bool, reason: str | None = None) -> int:
+def _answer(args, name: str, value: bool, reason: str | None = None) -> tuple[int, typing.Iterable[str]]:
+    code = 0 if value else 1
     if args.format == "json":
         doc: dict = {name: value}
         if reason is not None:
             doc["witness"] = reason
-        out.write(json_line(doc))
-    elif not args.quiet:
-        line = f"{name}: {'yes' if value else 'no'}"
-        if reason is not None and not value:
-            line += f" ({reason})"
-        out.write(line + "\n")
-    return 0 if value else 1
+        return code, [json_line(doc)]
+    if args.quiet:
+        return code, []
+    note = f" ({reason})" if reason is not None and not value else ""
+    return code, [f"{name}: {'yes' if value else 'no'}{note}\n"]
 
 
-def _emit_matrix(args, out: typing.TextIO, m: BinMatrix, name: str, **extra) -> int:
+def _matrix(args, m: BinMatrix, name: str, **extra) -> tuple[int, typing.Iterable[str]]:
     """``m`` in ``--format``; in JSON, under ``name`` followed by ``extra``."""
     if args.format == "json":
-        out.write(json_line({name: matrix_doc(m), **extra}))
-    else:
-        out.write(render_matrix(m, args.format))
-    return 0
+        return 0, [json_line({name: matrix_doc(m), **extra})]
+    return 0, [render_matrix(m, args.format)]
 
 
-def _cmd_check(args, out: typing.TextIO) -> int:
+def _cmd_check(args):
     from .frames import is_orthogonal, is_parseval
     from .gramfactor import GramCandidate, is_gram_of_parseval
 
     m = _load_matrix(args.file, args.format)
     if args.property == "parseval":
-        return _answer(args, out, "parseval", is_parseval(m))
+        return _answer(args, "parseval", is_parseval(m))
     try:
         if args.property == "orthogonal":
-            return _answer(args, out, "orthogonal", is_orthogonal(m))
+            return _answer(args, "orthogonal", is_orthogonal(m))
         ok = is_gram_of_parseval(GramCandidate(m))
     except (InvalidInput, ShapeError) as e:
-        return _answer(args, out, args.property, False, reason=str(e))
-    return _answer(args, out, "gram", ok, reason=None if ok else "all columns even")
+        return _answer(args, args.property, False, reason=str(e))
+    return _answer(args, "gram", ok, reason=None if ok else "all columns even")
 
 
-def _cmd_gram(args, out: typing.TextIO) -> int:
+def _cmd_gram(args):
     from .frames import gram
 
-    out.write(render_matrix(gram(_load_matrix(args.file, args.format)), args.format))
-    return 0
+    return 0, [render_matrix(gram(_load_matrix(args.file, args.format)), args.format)]
 
 
-def _cmd_factor(args, out: typing.TextIO) -> int:
+def _cmd_factor(args):
     from .gramfactor import GramCandidate, factor_gram
 
     m = _load_matrix(args.file, args.format)
     try:
         cand = GramCandidate(m)
     except (InvalidInput, ShapeError) as e:
-        raise _Negative(f"not a Gram matrix: {e}") from e
+        return _negative(args, f"not a Gram matrix: {e}")
     try:
         theta = factor_gram(cand).theta
     except NotGramMatrix as e:
-        raise _Negative("not a Gram matrix: all columns even", witness=list(e.witness)) from e
+        return _negative(args, "not a Gram matrix: all columns even", witness=list(e.witness))
     # factor_gram returns only a factorization it has checked
-    return _emit_matrix(args, out, theta, "theta", theta_star_theta_is_identity=True, reproduces_gram=True)
+    return _matrix(args, theta, "theta", theta_star_theta_is_identity=True, reproduces_gram=True)
 
 
-def _cmd_complement(args, out: typing.TextIO) -> int:
+def _cmd_complement(args):
     from .naimark import naimark_complement
 
     theta = _load_matrix(args.file, args.format)
     try:
         psi = naimark_complement(theta)
     except ExtensionObstruction as e:
-        raise _Negative("no complement: every frame vector is odd", witness=e.witness.to_bitstring()) from e
+        return _negative(args, "no complement: every frame vector is odd", witness=e.witness.to_bitstring())
     # naimark_complement returns only a complement it has checked
-    return _emit_matrix(args, out, psi, "psi", gram_sum_is_identity=True, block_is_orthogonal=True)
+    return _matrix(args, psi, "psi", gram_sum_is_identity=True, block_is_orthogonal=True)
 
 
-def _cmd_extend(args, out: typing.TextIO) -> int:
+def _cmd_extend(args):
     from .naimark import OrthonormalSequence, extend_to_basis
 
     m = _load_matrix(args.file, args.format)
     try:
-        seq = OrthonormalSequence(m.cols, m.row_vectors())
-        ext = extend_to_basis(seq)
+        ext = extend_to_basis(OrthonormalSequence(m.cols, m.row_vectors()))
     except InvalidInput as e:
-        raise _Negative(f"rows are not orthonormal: {e}") from e
+        return _negative(args, f"rows are not orthonormal: {e}")
     except ExtensionObstruction as e:
-        raise _Negative("not extendable: rows sum to the all-ones vector", witness=e.witness.to_bitstring()) from e
-    out.write(render_matrix(BinMatrix.from_rows(ext.vecs), args.format))
-    return 0
+        return _negative(args, "not extendable: rows sum to the all-ones vector", witness=e.witness.to_bitstring())
+    return 0, [render_matrix(BinMatrix.from_rows(ext.vecs), args.format)]
 
 
-def _cmd_reconstruct(args, out: typing.TextIO) -> int:
+def _cmd_reconstruct(args):
     from .frames import Frame, reconstruct
 
     frame = Frame.from_analysis(_load_matrix(args.file, args.format))
     x = parse_vector(args.x)
     y = reconstruct(x, frame)
     if args.format == "json":
-        doc = {"x": x.to_bitstring(), "reconstruction": y.to_bitstring(), "equal": y == x}
-        out.write(json_line(doc))
-    else:
-        out.write(y.to_bitstring() + "\n")
-    return 0
+        return 0, [json_line({"x": x.to_bitstring(), "reconstruction": y.to_bitstring(), "equal": y == x})]
+    return 0, [y.to_bitstring() + "\n"]
 
 
-def _cmd_enum(args, out: typing.TextIO) -> int:
+def _cmd_enum(args):
+    """The catalog is built before this returns, so a refusal comes before
+    any output; its lines are rendered one by one as they are written."""
     from .catalog import enum_cyclic_gram, enum_nonrepeating, enum_orthogonal
 
+    fmt = args.format
     if args.kind == "orthogonal":
         if args.nonrepeating:
             raise _UsageError("--nonrepeating applies to `enum cyclic` only")
         catalog = enum_orthogonal(args.k)
-        for m, cols in zip(catalog.classes, catalog.column_sets()):
-            if args.format == "cols-int":
-                out.write(" ".join(map(str, cols)) + "\n")
-            elif args.format == "json":
-                out.write(json_line({"k": args.k, "columns": list(cols)}))
-            else:
-                out.write(render_matrix(m, "dense") + "\n")
-        return 0
+
+        def line(m, cols):
+            if fmt == "cols-int":
+                return " ".join(map(str, cols)) + "\n"
+            if fmt == "json":
+                return json_line({"k": args.k, "columns": list(cols)})
+            return render_matrix(m, "dense") + "\n"
+
+        return 0, map(line, catalog.classes, catalog.column_sets())
     if args.nonrepeating:
-        for pair in enum_nonrepeating(args.k):
+
+        def line(pair):
             row = pair.gram.first_row
-            if args.format == "cols-int":
-                cols = " ".join(map(str, pair.theta.transpose().data))
-                out.write(f"{row.bits} {cols}\n")
-            elif args.format == "json":
-                doc = {
-                    "k": pair.gram.k,
-                    "n": pair.gram.rank,
-                    "gram_first_row": row.to_bitstring(),
-                    "theta": pair.theta.to_bitstring_rows(),
-                }
-                out.write(json_line(doc))
-            else:
-                out.write(f"k={pair.gram.k} n={pair.gram.rank} gram={row.to_bitstring()}\n")
-                out.write(render_matrix(pair.theta, "dense") + "\n")
-        return 0
-    for cg in enum_cyclic_gram(args.k):
-        if args.format == "cols-int":
-            out.write(f"{cg.first_row.bits}\n")
-        elif args.format == "json":
-            doc = {
-                "k": cg.k,
-                "n": cg.rank,
-                "first_row": cg.first_row.to_bitstring(),
-                "first_row_int": cg.first_row.bits,
-            }
-            out.write(json_line(doc))
-        else:
-            out.write(cg.first_row.to_bitstring() + "\n")
-    return 0
+            if fmt == "cols-int":
+                return f"{row.bits} {' '.join(map(str, pair.theta.transpose().data))}\n"
+            if fmt == "json":
+                doc = {"k": pair.gram.k, "n": pair.gram.rank, "gram_first_row": row.to_bitstring()}
+                return json_line({**doc, "theta": pair.theta.to_bitstring_rows()})
+            head = f"k={pair.gram.k} n={pair.gram.rank} gram={row.to_bitstring()}\n"
+            return head + render_matrix(pair.theta, "dense") + "\n"
+
+        return 0, map(line, enum_nonrepeating(args.k))
+
+    def line(cg):
+        if fmt == "cols-int":
+            return f"{cg.first_row.bits}\n"
+        if fmt == "json":
+            row = cg.first_row
+            return json_line({"k": cg.k, "n": cg.rank, "first_row": row.to_bitstring(), "first_row_int": row.bits})
+        return cg.first_row.to_bitstring() + "\n"
+
+    return 0, map(line, enum_cyclic_gram(args.k))
 
 
-def _cmd_equiv(args, out: typing.TextIO) -> int:
+def _cmd_equiv(args):
     from .equiv import permutation_equivalent, switching_equivalent
     from .frames import Frame
 
     a = _load_matrix(args.file1, args.format)
     b = _load_matrix(args.file2, args.format)
     if args.relation == "perm":
-        return _answer(args, out, "permutation-equivalent", permutation_equivalent(a, b))
+        return _answer(args, "permutation-equivalent", permutation_equivalent(a, b))
     fa, fb = Frame.from_analysis(a), Frame.from_analysis(b)
-    return _answer(args, out, "switching-equivalent", switching_equivalent(fa, fb))
+    return _answer(args, "switching-equivalent", switching_equivalent(fa, fb))
 
 
-def _cmd_canon(args, out: typing.TextIO) -> int:
+def _cmd_canon(args):
     from .equiv import canonical_form
 
-    m = _load_matrix(args.file, args.format)
-    result = canonical_form(m, args.mode)
-    row_perm, col_perm = list(result.row_perm), list(result.col_perm)
-    return _emit_matrix(args, out, result.matrix, "matrix", row_perm=row_perm, col_perm=col_perm)
+    result = canonical_form(_load_matrix(args.file, args.format), args.mode)
+    return _matrix(args, result.matrix, "matrix", row_perm=list(result.row_perm), col_perm=list(result.col_perm))
 
 
 # The command line as one table, which drives parsing and help.  A command
-# maps to its handler, its one-line help, its positionals (name -> a tuple
-# of choices, or None for any string) and its own options; every command
-# also takes the _COMMON options.  An option maps name -> (kind, default,
-# help): kind None is a flag, a tuple lists the choices, int reads an int
-# and a string is the metavar of a free string.  A default of _REQUIRED
-# makes the option required.
+# maps to its handler (args -> the exit code and an iterable of output
+# text), its one-line help, its positionals (name -> a tuple of choices, or
+# None for any string) and its own options; every command also takes the
+# _COMMON options.  An option maps name -> (kind, default, help): kind
+# None is a flag, a tuple lists the choices, int reads an int and a string
+# is the metavar of a free string.  A default of _REQUIRED makes the
+# option required.
 _REQUIRED = object()
 
 _COMMON = {
@@ -461,32 +442,32 @@ _COMMANDS = {
 
 
 def run(argv: list[str]) -> int:
-    """Dispatch one invocation; returns the process exit code."""
-    try:
-        args = parse_args(argv)
-    except _Help as e:
-        if sys.stdout is None:
-            _say("error: standard output is closed")
-            return 2
-        sys.stdout.write(str(e))
-        return 0
-    except _UsageError as e:
-        _say(f"error: {e}")
-        return 2
+    """Dispatch one invocation; returns the process exit code.
 
-    out: typing.TextIO = sys.stdout
-    if out is None and not args.output:
-        # the interpreter started with file descriptor 1 closed
-        _say("error: standard output is closed; use --output PATH")
-        return 2
-    opened = False
+    A command returns its exit code and its output as chunks of text; only
+    then does ``run`` open ``--output`` (or use stdout) and write them, so
+    a refusal leaves an existing output file as it was and ``--output``
+    may name the input.
+    """
+    args = None
     try:
-        if args.output:
-            out = open(args.output, "w", encoding="utf-8")
-            opened = True
-        return _COMMANDS[args.command][0](args, out)
-    except _Negative as neg:
-        return _emit_negative(neg, args, out)
+        try:
+            args = parse_args(argv)
+            code, chunks = _COMMANDS[args.command][0](args)
+        except _Help as e:
+            code, chunks = 0, [str(e)]
+        except (InvalidInput, NotSpanningError) as e:
+            code, chunks = _negative(args, str(e))
+        if args and args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.writelines(chunks)
+        elif sys.stdout is None:
+            # the interpreter started with file descriptor 1 closed
+            _say("error: standard output is closed" + ("; use --output PATH" if args else ""))
+            return 2
+        else:
+            sys.stdout.writelines(chunks)
+        return code
     except _UsageError as e:
         _say(f"error: {e}")
         return 2
@@ -494,8 +475,6 @@ def run(argv: list[str]) -> int:
         where = f" at line {e.line}, column {e.column}" if e.line else ""
         _say(f"parse error{where}: {e}")
         return 2
-    except (InvalidInput, NotSpanningError) as e:
-        return _emit_negative(_Negative(str(e)), args, out)
     except OSError as e:
         _say(str(e))
         return 2
@@ -505,9 +484,6 @@ def run(argv: list[str]) -> int:
     except RuntimeError as e:  # a broken internal check must not read as a "no"
         _say(f"internal error: {e}")
         return 2
-    finally:
-        if opened:
-            out.close()
 
 
 def main() -> None:
@@ -516,7 +492,7 @@ def main() -> None:
     An exception that escapes ``run`` is a crash, reported as an internal
     error with exit 2, never as a negative answer.  The process leaves by
     ``os._exit`` once stdout and stderr are flushed, skipping interpreter
-    teardown: ``run`` has closed every file it opened, so nothing else
+    teardown: ``run`` closes each file it opens, so nothing else
     holds output.  An output that cannot be flushed is exit 2.
     """
     try:

@@ -4,9 +4,9 @@ Three interchangeable formats, all round-tripping bit-exactly:
 
 * ``dense`` - one line of 0/1 characters per row, whitespace between
   characters optional.
-* ``cols-int`` - a ``k=K`` header followed by space-separated column
-  integers; a column vector (x_1, ..., x_k) encodes as
-  ``sum(x_i * 2**(i-1))``, so (1,0,1,1) is 13.
+* ``cols-int`` - a ``k=K`` header (K at most ``COLS_INT_MAX_K``)
+  followed by space-separated column integers; a column vector
+  (x_1, ..., x_k) encodes as ``sum(x_i * 2**(i-1))``, so (1,0,1,1) is 13.
 * ``json`` - an object with ``rows``, ``cols`` and ``data`` (a list of
   row bit-strings as in the dense format).
 """
@@ -24,6 +24,9 @@ __all__ = [
 ]
 
 FORMATS = ("dense", "cols-int", "json")
+# The largest k a cols-int header may declare: a few bytes of header would
+# otherwise make the parser build k-character rows.
+COLS_INT_MAX_K = 1 << 16
 
 
 def json_line(doc) -> str:
@@ -105,6 +108,8 @@ def _parse_cols_int(text: str) -> BinMatrix:
             header_line = lineno
             if k < 1:
                 raise ParseError(f"k must be positive, got {k}", line=lineno, column=1)
+            if k > COLS_INT_MAX_K:
+                raise ParseError(f"k={k} is over the limit of {COLS_INT_MAX_K} rows", line=lineno, column=1)
             continue
         col = 1
         for token in line.split():

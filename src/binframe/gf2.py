@@ -74,16 +74,6 @@ class BinVector(_Record):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "bits", bits)
 
-    # vectors and matrices are compared far more often than the other
-    # records, so they spell out the generic field-by-field methods
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.bits == other.bits and self.n == other.n
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.n, self.bits))
-
     @classmethod
     def zero(cls, n: int) -> "BinVector":
         return cls(n, 0)
@@ -164,14 +154,6 @@ class BinMatrix(_Record):
                 raise ValueError(f"row {i} has bits outside {cols} columns")
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "data", data)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.data == other.data and self.cols == other.cols
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.cols, self.data))
 
     # -- constructors ------------------------------------------------------
 

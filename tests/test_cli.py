@@ -380,6 +380,81 @@ def test_enum_output_file(tmp_path, capsys):
     assert target.read_text() == "1000\n"
 
 
+def test_output_may_name_the_input(write, capsys):
+    """``--output`` is opened only once the answer is known, so it may
+    name the file the command reads."""
+    path = write("m.txt", "10\n01\n11\n")
+    assert run(["gram", path, "--output", path]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert Path(path).read_text() == "101\n011\n110\n"
+
+
+def test_refusals_leave_an_existing_output_untouched(write, capsys):
+    target = write("o.txt", "kept\n")
+    for argv in (
+        ["check", "parseval", write("bad.txt", "1x\n")],
+        ["enum", "orthogonal", "--k", "4", "--nonrepeating"],
+        ["enum", "cyclic", "--k", "100000"],
+    ):
+        assert run([*argv, "--output", target]) == 2, argv
+        assert capsys.readouterr().out == ""
+        assert Path(target).read_bytes() == b"kept\n", argv
+
+
+def test_dense_no_creates_an_empty_output(write, tmp_path, capsys):
+    target = tmp_path / "no.txt"
+    assert run(["factor", write("hollow.txt", "011\n101\n110\n"), "--output", str(target)]) == 1
+    assert capsys.readouterr() == ("", "binframe: no: not a Gram matrix: all columns even\n")
+    assert target.read_bytes() == b""
+
+
+def test_output_file_holds_the_stdout_bytes(write, tmp_path, capsys):
+    """Every command writes to ``--output`` the bytes it prints, with the
+    same exit code and the same stderr."""
+    ident = write("id.txt", "100\n010\n001\n")
+    hollow = write("hollow.json", _json_matrix(["011", "101", "110"]))
+    cases = [
+        ["check", "gram", write("j3.json", _json_matrix(["111", "111", "111"])), "--format", "json"],
+        ["check", "parseval", write("two.txt", "1\n1\n")],
+        ["gram", write("theta.txt", "10\n01\n11\n")],
+        ["factor", hollow, "--format", "json"],
+        ["factor", write("j3c.txt", "k=3\n7 7 7\n"), "--format", "cols-int"],
+        ["complement", write("theta.json", _json_matrix(["11", "11", "10", "01"])), "--format", "json"],
+        ["extend", write("seed.txt", "1110000\n0001000\n")],
+        ["reconstruct", write("id.json", _json_matrix(["100", "010", "001"])), "--x", "101", "--format", "json"],
+        ["enum", "cyclic", "--k", "15", "--nonrepeating"],
+        ["enum", "orthogonal", "--k", "4", "--format", "json"],
+        ["equiv", "perm", ident, write("p.txt", "010\n100\n001\n")],
+        ["canon", write("m.txt", "010\n100\n001\n"), "--mode", "conjugation"],
+    ]
+    assert {argv[0] for argv in cases} == set(_COMMANDS)
+    for i, argv in enumerate(cases):
+        code = run(argv)
+        printed = capsys.readouterr()
+        assert printed.out, argv
+        target = tmp_path / f"out{i}.txt"
+        assert run([*argv, "--output", str(target)]) == code, argv
+        assert capsys.readouterr() == ("", printed.err), argv
+        assert target.read_text() == printed.out, argv
+
+
+def test_directory_as_output_is_refused_after_the_answer(write, tmp_path, capsys):
+    """An output that cannot be opened exits 2 with the system's message,
+    for a yes and for a no alike, and no "no" line goes to stderr."""
+    try:
+        open(tmp_path, "w", encoding="utf-8")
+    except OSError as e:
+        message = f"binframe: {e}\n"
+    hollow = write("hollow.txt", "011\n101\n110\n")
+    for argv in (
+        ["check", "parseval", write("id.txt", "10\n01\n")],
+        ["factor", hollow],
+        ["factor", write("hollow.json", _json_matrix(["011", "101", "110"])), "--format", "json"],
+    ):
+        assert run([*argv, "--output", str(tmp_path)]) == 2, argv
+        assert capsys.readouterr() == ("", message), argv
+
+
 def test_equiv_perm(write, capsys):
     a = write("a.txt", "100\n010\n001\n")
     b = write("b.txt", "010\n100\n001\n")
@@ -551,6 +626,15 @@ def test_parse_failure_exit_code(write, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "line 2, column 1" in err
+
+
+def test_oversized_cols_int_header_is_refused_at_once(write, capsys):
+    """A few-byte cols-int file may not declare millions of rows."""
+    path = write("huge.txt", "k=4000000\n1\n")
+    start = time.monotonic()
+    assert run(["check", "parseval", path, "--format", "cols-int"]) == 2
+    assert time.monotonic() - start < 1.0
+    assert capsys.readouterr() == ("", "binframe: parse error at line 1, column 1: k=4000000 is over the limit of 65536 rows\n")
 
 
 def test_missing_file_exit_code(capsys):

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from binframe import BinMatrix, BinVector, ParseError
-from binframe.formats import parse_matrix, parse_vector, render_matrix
+from binframe.formats import COLS_INT_MAX_K, parse_matrix, parse_vector, render_matrix
 
 matrices = st.integers(1, 7).flatmap(
     lambda r: st.integers(1, 7).flatmap(
@@ -151,6 +151,16 @@ def test_parse_vector_reports_the_line_of_a_bad_character():
             parse_vector(text)
         assert (info.value.line, info.value.column) == where
     assert parse_vector("1\n0\n1") == BinVector.from_bits([1, 0, 1])
+
+
+def test_cols_int_header_limit():
+    """A header may declare at most COLS_INT_MAX_K rows."""
+    m = parse_matrix(f"k={COLS_INT_MAX_K}\n1 0\n", "cols-int")
+    assert (m.rows, m.cols, m.data[0], m.data[-1]) == (COLS_INT_MAX_K, 2, 1, 0)
+    for k in (COLS_INT_MAX_K + 1, 10**9):
+        with pytest.raises(ParseError, match=f"k={k} is over the limit of {COLS_INT_MAX_K} rows") as info:
+            parse_matrix(f"k={k}\n1\n", "cols-int")
+        assert (info.value.line, info.value.column) == (1, 1)
 
 
 def test_cols_int_header_cases():
