@@ -35,12 +35,13 @@ ORTHOGONAL_MAX_K = 6
 # Each rank is a gcd of degree-k polynomials on packed ints, costing up
 # to about k^2, so a cyclic catalog is refused when entries x k^2 exceeds
 # this, and so is every k above its square root, 92681.  The slowest
-# admitted catalog, k = 257, takes about 1.4 s.  No k <= 256 has more than
+# admitted catalog, k = 257, takes 1.5 s (Python 3.11.7, one core of a
+# 2-vCPU Xeon host, median of 3).  No k <= 256 has more than
 # 2^16 entries, so no admitted catalog has more either.
 CYCLIC_MAX_WORK = 2**33
 # Factoring one entry costs up to about k^3; the repetition-free catalog
 # is refused when entries to factor x k^3 exceeds this (k = 127, just
-# under it, takes about 3 s).
+# under it, takes 2.2 s on the same host).
 NONREPEATING_MAX_WORK = 2**30
 
 

@@ -29,6 +29,8 @@ orbit member, and raises ``UnsupportedSize`` once they are spent.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from .errors import InvalidInput, ShapeError, UnsupportedSize
 from .frames import Frame, gram
 from .gf2 import BinMatrix, _Record
@@ -62,19 +64,10 @@ class CanonicalMatrix(_Record):
         object.__setattr__(self, "col_perm", col_perm)
 
 
-def _bigendian_key(row_bits: int, order: tuple[int, ...]) -> int:
-    """Read the given columns of a packed row, leftmost first."""
-    key = 0
-    for j in order:
-        key = (key << 1) | ((row_bits >> j) & 1)
-    return key
-
-
-def _key_to_row(key: int, cols: int) -> int:
-    bits = 0
-    for j in range(cols):
-        bits |= ((key >> (cols - 1 - j)) & 1) << j
-    return bits
+def _permuted(a: BinMatrix, row_perm: Sequence[int], col_perm: Sequence[int]) -> BinMatrix:
+    """The matrix whose entry (i, j) is entry (row_perm[i], col_perm[j]) of ``a``."""
+    columns = BinMatrix(a.cols, tuple(a.data[i] for i in row_perm)).transpose().data
+    return BinMatrix(len(row_perm), tuple(columns[j] for j in col_perm)).transpose()
 
 
 # automorphisms as (image of each index, mask of the indices moved)
@@ -120,8 +113,9 @@ def _search(
     (v, u)); ``cells`` are disjoint index masks covering every index, in
     position order.  An ordering is a permutation ``perm`` listing the
     indices of each cell in that cell's range of positions; its key is
-    the list of row keys ``_bigendian_key(adj[perm[p]], perm)``, each
-    followed by ``labels[perm[p]]`` as its least significant digit.
+    the list of row keys, row ``p``'s being the bits of ``adj[perm[p]]``
+    at ``perm[0], perm[1], ...`` read as a big-endian number and followed
+    by ``labels[perm[p]]`` as its least significant digit.
     Returns the least key, the first ordering in increasing lexicographic
     order that reaches it, and the automorphisms found (each with the mask
     of the indices it moves), which generate every label-preserving
@@ -245,16 +239,16 @@ def _canon_independent(a: BinMatrix, budget: list[int]) -> CanonicalMatrix:
         chosen.append(_orbit_min(perm[r + len(chosen)], gens, 0, budget) - r)
         _, perm, gens = _search_double(a, chosen, budget)
     col_perm = tuple(v - r for v in perm[r:])
-    keyed = sorted((_bigendian_key(row, col_perm), i) for i, row in enumerate(a.data))
-    matrix = BinMatrix(a.cols, tuple(_key_to_row(key, a.cols) for key, _ in keyed))
-    return CanonicalMatrix(matrix, tuple(i for _, i in keyed), col_perm)
+    # rows of equal length sort as bit strings as they do as big-endian keys
+    rows = _permuted(a, range(a.rows), col_perm)
+    text = rows.to_bitstring_rows()
+    row_perm = tuple(sorted(range(a.rows), key=text.__getitem__))
+    return CanonicalMatrix(BinMatrix(a.cols, tuple(rows.data[i] for i in row_perm)), row_perm, col_perm)
 
 
 def _canon_conjugation(a: BinMatrix, budget: list[int]) -> CanonicalMatrix:
-    k = a.rows
-    keys, perm, _ = _search(list(a.data), [(1 << k) - 1], budget)
-    matrix = BinMatrix(k, tuple(_key_to_row(key, k) for key in keys))
-    return CanonicalMatrix(matrix, tuple(perm), tuple(perm))
+    perm = tuple(_search(list(a.data), [(1 << a.rows) - 1], budget)[1])
+    return CanonicalMatrix(_permuted(a, perm, perm), perm, perm)
 
 
 def canonical_form(a: BinMatrix, mode: str = MODE_INDEPENDENT) -> CanonicalMatrix:

@@ -13,7 +13,7 @@ Three interchangeable formats, all round-tripping bit-exactly:
 
 from __future__ import annotations
 
-from .errors import ParseError
+from .errors import ParseError, UnsupportedSize
 from .gf2 import BinMatrix, BinVector
 
 __all__ = [
@@ -24,9 +24,12 @@ __all__ = [
 ]
 
 FORMATS = ("dense", "cols-int", "json")
-# The largest k a cols-int header may declare: a few bytes of header would
-# otherwise make the parser build k-character rows.
-COLS_INT_MAX_K = 1 << 16
+# The largest k a cols-int header may declare, or a matrix rendered in
+# cols-int may have: a few bytes of header would otherwise make the parser
+# build k-character rows.  It is the largest k whose all-ones column,
+# 2**k - 1, has at most 4300 decimal digits, the default limit on int-string
+# conversions since CPython 3.10.7 and 3.11.
+COLS_INT_MAX_K = 14284
 
 
 def json_line(doc) -> str:
@@ -110,12 +113,17 @@ def _parse_cols_int(text: str) -> BinMatrix:
                 raise ParseError(f"k must be positive, got {k}", line=lineno, column=1)
             if k > COLS_INT_MAX_K:
                 raise ParseError(f"k={k} is over the limit of {COLS_INT_MAX_K} rows", line=lineno, column=1)
+            width = len(str((1 << k) - 1))  # digits of the widest column
             continue
         col = 1
         for token in line.split():
             col = line.index(token, col - 1) + 1
             if not (token.isascii() and token.isdigit()):
                 raise ParseError(f"invalid integer {token!r}", line=lineno, column=col)
+            if len(token) > width:
+                raise ParseError(
+                    f"integer of {len(token)} digits is too long for k={k} bits", line=lineno, column=col
+                )
             value = int(token)
             if value >= (1 << k):
                 raise ParseError(
@@ -170,6 +178,8 @@ def render_matrix(m: BinMatrix, fmt: str = "dense") -> str:
     if fmt == "dense":
         return "\n".join(m.to_bitstring_rows()) + "\n"
     if fmt == "cols-int":
+        if m.rows > COLS_INT_MAX_K:
+            raise UnsupportedSize(f"k={m.rows} is over the cols-int limit of {COLS_INT_MAX_K} rows")
         ints = " ".join(map(str, m.transpose().data))
         return f"k={m.rows}\n{ints}\n"
     if fmt == "json":

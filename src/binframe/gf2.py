@@ -75,10 +75,6 @@ class BinVector(_Record):
         object.__setattr__(self, "bits", bits)
 
     @classmethod
-    def zero(cls, n: int) -> "BinVector":
-        return cls(n, 0)
-
-    @classmethod
     def ones(cls, n: int) -> "BinVector":
         """The all-ones vector in GF(2)^n."""
         return cls(n, (1 << n) - 1)
@@ -127,9 +123,6 @@ class BinVector(_Record):
     def parity(self) -> int:
         """0 for an even vector, 1 for an odd one."""
         return self.bits.bit_count() & 1
-
-    def weight(self) -> int:
-        return self.bits.bit_count()
 
     def to_bitstring(self) -> str:
         """Dense text form, entry 0 leftmost: (1,0,1,1) -> '1011'."""
@@ -181,15 +174,7 @@ class BinMatrix(_Record):
 
     @classmethod
     def identity(cls, n: int) -> "BinMatrix":
-        if n < 1:
-            raise DimensionError(f"size must be positive, got {n}")
         return cls(n, tuple(1 << i for i in range(n)))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "BinMatrix":
-        if rows < 1 or cols < 1:
-            raise DimensionError(f"shape ({rows}, {cols}) must be positive")
-        return cls(cols, (0,) * rows)
 
     @classmethod
     def all_ones(cls, rows: int, cols: int) -> "BinMatrix":
@@ -207,15 +192,6 @@ class BinMatrix(_Record):
             # cyclic right-rotation of the first row by i positions
             rows.append(((c << i) | (c >> (k - i))) & ((1 << k) - 1) if i else c)
         return cls(k, tuple(rows))
-
-    @classmethod
-    def shift(cls, k: int) -> "BinMatrix":
-        """The cyclic shift S with S e_j = e_{(j+1) mod k}."""
-        if k < 1:
-            raise DimensionError(f"size must be positive, got {k}")
-        if k == 1:
-            return cls(1, (1,))
-        return cls.circulant(BinVector.basis(k, k - 1))
 
     # -- basic accessors ---------------------------------------------------
 
@@ -245,12 +221,6 @@ class BinMatrix(_Record):
 
     def row_vectors(self) -> tuple[BinVector, ...]:
         return tuple(BinVector(self.cols, r) for r in self.data)
-
-    def col(self, j: int) -> BinVector:
-        bits = 0
-        for i, r in enumerate(self.data):
-            bits |= ((r >> j) & 1) << i
-        return BinVector(self.rows, bits)
 
     def col_vectors(self) -> tuple[BinVector, ...]:
         return tuple(BinVector(self.rows, c) for c in self.transpose().data)
@@ -431,14 +401,6 @@ class Echelon:
         free = [f for f in range(cols) if not (self._pivots >> f) & 1]
         return columns[cols], [(1 << f) | columns[f] for f in free]
 
-    def solutions(self, cols: int) -> AffineSolutionSet:
-        """``reduced_solutions`` as an ``AffineSolutionSet``."""
-        found = self.reduced_solutions(cols)
-        if found is None:
-            return AffineSolutionSet(cols, None, ())
-        part, nulls = found
-        return AffineSolutionSet(cols, BinVector(cols, part), tuple(BinVector(cols, v) for v in nulls))
-
 
 def _impose(part: int | None, nulls: list[int], x: int) -> tuple[int | None, list[int]]:
     """A solution set ``(part, nulls)`` in the form ``reduced_solutions``
@@ -477,4 +439,6 @@ def solve(a: BinMatrix, b: BinVector) -> AffineSolutionSet:
         )
     cols = a.cols
     rows = (r | (((b.bits >> i) & 1) << cols) for i, r in enumerate(a.data))
-    return Echelon(rows).solutions(cols)
+    part, nulls = Echelon(rows).reduced_solutions(cols) or (None, [])
+    particular = None if part is None else BinVector(cols, part)
+    return AffineSolutionSet(cols, particular, tuple(BinVector(cols, v) for v in nulls))

@@ -61,10 +61,6 @@ class OrthonormalSequence(_Record):
         object.__setattr__(self, "vecs", vecs)
 
     @classmethod
-    def empty(cls, dim: int) -> "OrthonormalSequence":
-        return cls(dim, ())
-
-    @classmethod
     def from_vectors(
         cls, vectors: Sequence[BinVector | Iterable[int]], dim: int | None = None
     ) -> "OrthonormalSequence":

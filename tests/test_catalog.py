@@ -1,5 +1,6 @@
 """Catalog enumeration: orthogonal classes, circulant Grams, factored pairs."""
 
+import time
 from pathlib import Path
 
 import pytest
@@ -147,7 +148,7 @@ def test_cyclic_matches_reference_table():
 
 def test_cyclic_entry_invariants():
     for k in range(3, 21):
-        s = BinMatrix.shift(k)
+        s = BinMatrix.circulant(BinVector.basis(k, k - 1))
         for cg in enum_cyclic_gram(k):
             c = cg.matrix()
             assert c.is_symmetric()
@@ -219,6 +220,19 @@ def test_cyclic_size_guard():
         enum_nonrepeating(255)
 
 
+def test_largest_admitted_catalogs_answer():
+    """The largest catalogs the work caps admit answer within a generous
+    bound: k = 257 cyclic has 2^16 entries, the most of any admitted k,
+    and k = 127 repetition-free has 510.  The refusals next to them,
+    k = 255 here and 129, 257, 60041 and 1000003 at the CLI, stay."""
+    start = time.monotonic()
+    assert len(enum_cyclic_gram(257)) == 1 << 16
+    assert time.monotonic() - start < 30.0
+    start = time.monotonic()
+    assert len(enum_nonrepeating(127)) == 510
+    assert time.monotonic() - start < 30.0
+
+
 def test_cyclic_rejects_nonpositive_size():
     with pytest.raises(UnsupportedSize):
         enum_cyclic_gram(0)
@@ -278,7 +292,7 @@ def test_nonrepeating_rows_distinct_iff_gram_rows_distinct():
 
 def test_nonrepeating_column_space_is_shift_invariant():
     for k in (9, 15):
-        s = BinMatrix.shift(k)
+        s = BinMatrix.circulant(BinVector.basis(k, k - 1))
         for pair in enum_nonrepeating(k):
             cols = [c.bits for c in pair.theta.col_vectors()]
             base_rank = rank_int_rows(tuple(cols))
@@ -306,9 +320,9 @@ def test_cyclic_frames_have_no_complement():
 
 
 def test_shift_examples():
-    assert BinMatrix.shift(1) == BinMatrix(1, (1,))
-    assert BinMatrix.shift(3).mul_vec(BinVector.basis(3, 0)) == BinVector.basis(3, 1)
+    assert BinMatrix.circulant(BinVector.basis(1, 0)) == BinMatrix(1, (1,))
+    assert BinMatrix.circulant(BinVector.basis(3, 2)).mul_vec(BinVector.basis(3, 0)) == BinVector.basis(3, 1)
     p = BinMatrix.identity(5)
     for _ in range(5):
-        p = BinMatrix.shift(5) @ p
+        p = BinMatrix.circulant(BinVector.basis(5, 4)) @ p
     assert p == BinMatrix.identity(5)

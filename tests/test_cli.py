@@ -634,7 +634,15 @@ def test_oversized_cols_int_header_is_refused_at_once(write, capsys):
     start = time.monotonic()
     assert run(["check", "parseval", path, "--format", "cols-int"]) == 2
     assert time.monotonic() - start < 1.0
-    assert capsys.readouterr() == ("", "binframe: parse error at line 1, column 1: k=4000000 is over the limit of 65536 rows\n")
+    assert capsys.readouterr() == ("", "binframe: parse error at line 1, column 1: k=4000000 is over the limit of 14284 rows\n")
+
+
+def test_cols_int_full_width_column_at_the_limit_answers(write, capsys):
+    """The widest column the cols-int cap admits, 2^14284 - 1 with 4300
+    digits, is read and answered, not an internal error."""
+    path = write("wide.txt", f"k=14284\n{(1 << 14284) - 1}\n")
+    assert run(["check", "parseval", path, "--format", "cols-int"]) == 1
+    assert capsys.readouterr() == ("parseval: no\n", "")
 
 
 def test_missing_file_exit_code(capsys):

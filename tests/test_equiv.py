@@ -78,7 +78,7 @@ def _structured_squares(k):
     out = [BinMatrix.identity(k).data, (full,) * k, tuple(full ^ (1 << i) for i in range(k))]
     power = BinMatrix.identity(k)
     for _ in range(1, k):
-        power = power @ BinMatrix.shift(k)
+        power = power @ BinMatrix.circulant(BinVector.basis(k, k - 1))
         out.append(power.data)
     return out + [cg.matrix().data for cg in enum_cyclic_gram(k)]
 
@@ -153,7 +153,7 @@ def test_all_ones_is_its_own_orbit():
 def test_conjugation_preserves_cycle_type():
     """A full cycle canonicalizes to the plain shift, never to identity."""
     for k in (3, 4):
-        s = BinMatrix.shift(k)
+        s = BinMatrix.circulant(BinVector.basis(k, k - 1))
         rng = random.Random(k)
         perm = list(range(k))
         rng.shuffle(perm)
@@ -164,7 +164,7 @@ def test_conjugation_preserves_cycle_type():
 
 def test_conjugation_mode_needs_square():
     with pytest.raises(ShapeError):
-        canonical_form(BinMatrix.zeros(2, 3), MODE_CONJUGATION)
+        canonical_form(BinMatrix(3, (0,) * 2), MODE_CONJUGATION)
 
 
 def test_permutation_equivalent_examples():
@@ -179,7 +179,7 @@ def test_permutation_equivalent_examples():
 def test_permutation_equivalent_shape_mismatch():
     """Matrices of different shapes are not equivalent: a "no", not an error."""
     assert not permutation_equivalent(BinMatrix.identity(3), BinMatrix.identity(4))
-    assert not permutation_equivalent(BinMatrix.zeros(2, 3), BinMatrix.zeros(3, 2))
+    assert not permutation_equivalent(BinMatrix(3, (0,) * 2), BinMatrix(2, (0,) * 3))
 
 
 def test_permutation_equivalent_agrees_with_brute_force():

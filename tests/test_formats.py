@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from binframe import BinMatrix, BinVector, ParseError
+from binframe import BinMatrix, BinVector, ParseError, UnsupportedSize
 from binframe.formats import COLS_INT_MAX_K, parse_matrix, parse_vector, render_matrix
 
 matrices = st.integers(1, 7).flatmap(
@@ -54,7 +54,7 @@ def test_parse_cols_int_orthogonal_class():
     m = parse_matrix("k=4\n7 11 13 14", "cols-int")
     assert [c.bits for c in m.col_vectors()] == [7, 11, 13, 14]
     single = parse_matrix("k=4\n13", "cols-int")
-    assert single.col(0) == BinVector.from_bits([1, 0, 1, 1])
+    assert single.col_vectors()[0] == BinVector.from_bits([1, 0, 1, 1])
 
 
 def test_parse_json_document():
@@ -161,6 +161,33 @@ def test_cols_int_header_limit():
         with pytest.raises(ParseError, match=f"k={k} is over the limit of {COLS_INT_MAX_K} rows") as info:
             parse_matrix(f"k={k}\n1\n", "cols-int")
         assert (info.value.line, info.value.column) == (1, 1)
+
+
+def test_cols_int_round_trip_at_the_limit():
+    """A full-width column at k = COLS_INT_MAX_K, 2^k - 1 with 4300 digits,
+    reads and writes back; a matrix of one more row is not written (its
+    header is refused in test_cols_int_header_limit)."""
+    k = COLS_INT_MAX_K
+    m = BinMatrix.from_cols([BinVector.ones(k), BinVector(k, 1 << (k - 1))])
+    text = render_matrix(m, "cols-int")
+    assert parse_matrix(text, "cols-int") == m
+    assert len(text.split()[1]) == 4300
+    with pytest.raises(UnsupportedSize, match=f"limit of {k} rows"):
+        render_matrix(BinMatrix(1, (1,) * (k + 1)), "cols-int")
+
+
+def test_cols_int_token_longer_than_k_bits():
+    """A column with more digits than 2^k - 1, leading zeros included, is
+    refused at its position before it is converted."""
+    for text, where in (
+        ("k=3\n7 07\n", (2, 3)),
+        ("k=4\n 0015\n", (2, 2)),
+        (f"k={COLS_INT_MAX_K}\n1\n{'9' * 100_000}\n", (3, 1)),
+    ):
+        with pytest.raises(ParseError, match="digits is too long") as info:
+            parse_matrix(text, "cols-int")
+        assert (info.value.line, info.value.column) == where
+    assert parse_matrix("k=4\n15 09\n", "cols-int").col_vectors()[1].bits == 9
 
 
 def test_cols_int_header_cases():

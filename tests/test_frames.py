@@ -104,7 +104,7 @@ def test_is_orthogonal_examples():
     assert is_orthogonal(cols_matrix(4, [7, 11, 13, 14]))
     assert not is_orthogonal(BinMatrix.all_ones(3, 3))
     with pytest.raises(ShapeError):
-        is_orthogonal(BinMatrix.zeros(2, 3))
+        is_orthogonal(BinMatrix(3, (0,) * 2))
 
 
 def parseval_samples():

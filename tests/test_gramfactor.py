@@ -46,7 +46,7 @@ def hollow_ones(k):
 
 def test_candidate_validation():
     with pytest.raises(ShapeError):
-        GramCandidate(BinMatrix.zeros(2, 3))
+        GramCandidate(BinMatrix(3, (0,) * 2))
     with pytest.raises(InvalidInput):
         GramCandidate(BinMatrix.from_rows([vec(0, 1), vec(0, 0)]))
     with pytest.raises(InvalidInput):

@@ -62,7 +62,7 @@ def test_non_orthogonal_pair_rejected():
 def test_empty_sequence_needs_dimension():
     with pytest.raises(Exception):
         OrthonormalSequence.from_vectors([])
-    assert len(OrthonormalSequence.empty(4)) == 0
+    assert len(OrthonormalSequence(4, ())) == 0
 
 
 # -- extendability ----------------------------------------------------------
@@ -90,7 +90,7 @@ def test_obstruction_by_brute_force():
 
 
 def test_extend_empty_gives_canonical_basis():
-    ext = extend_to_basis(OrthonormalSequence.empty(3))
+    ext = extend_to_basis(OrthonormalSequence(3, ()))
     assert ext.vecs == tuple(BinVector.basis(3, i) for i in range(3))
 
 

@@ -3,6 +3,7 @@ and the Python version the sources need."""
 
 import ast
 import contextlib
+import importlib.util
 import io
 import re
 from pathlib import Path
@@ -106,3 +107,21 @@ def test_sources_parse_as_python_3_10():
     assert any(p.parent.name == "bench" for p in paths)
     for path in paths:
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+def test_bench_tracer_finds_every_hooked_name():
+    """``bench/tracing.py`` wraps library functions and methods by name
+    (``bench/run.py --trace 1``); removing or renaming one of them breaks
+    ``install`` with a KeyError here, not only in a benchmark run."""
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    importlib.import_module("binframe.cli")  # as bench/run.py does; it loads formats too
+    solve = gf2.solve
+    tracer = tracing.Tracer(binframe)
+    try:
+        tracer.install()
+        assert gf2.solve is not solve
+    finally:
+        tracer.uninstall()
+    assert gf2.solve is solve
