@@ -15,7 +15,6 @@ columns odd weight.
 
 from __future__ import annotations
 
-import functools
 import math
 
 from .errors import UnsupportedSize
@@ -147,16 +146,13 @@ def _gcd_degree(a: int, b: int) -> int:
     return a.bit_length() - 1
 
 
-@functools.cache
-def _proper_divisors(k: int) -> tuple[int, ...]:
-    return tuple(d for d in range(1, k) if k % d == 0)
-
-
 def _aperiodic(c: int, k: int) -> bool:
     """Whether no proper rotation fixes the row ``c``, i.e. whether the
-    rows of its k x k circulant are pairwise distinct."""
-    mask = (1 << k) - 1
-    return all(((c << d | c >> (k - d)) & mask) != c for d in _proper_divisors(k))
+    rows of its k x k circulant are pairwise distinct.  A rotation by d,
+    0 < d < k, fixes the string s exactly when s occurs at position d of
+    s + s."""
+    s = format(c, f"0{k}b")
+    return s not in (s + s)[1:-1]
 
 
 def _cyclic_rows(k: int) -> list[int]:

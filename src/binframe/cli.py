@@ -313,7 +313,7 @@ def _cmd_extend(args):
 def _cmd_reconstruct(args):
     from .frames import Frame, reconstruct
 
-    frame = Frame.from_analysis(_load_matrix(args.file, args.format))
+    frame = Frame(_load_matrix(args.file, args.format))
     x = parse_vector(args.x)
     y = reconstruct(x, frame)
     if args.format == "json":
@@ -373,7 +373,7 @@ def _cmd_equiv(args):
     b = _load_matrix(args.file2, args.format)
     if args.relation == "perm":
         return _answer(args, "permutation-equivalent", permutation_equivalent(a, b))
-    fa, fb = Frame.from_analysis(a), Frame.from_analysis(b)
+    fa, fb = Frame(a), Frame(b)
     return _answer(args, "switching-equivalent", switching_equivalent(fa, fb))
 
 

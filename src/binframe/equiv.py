@@ -246,11 +246,6 @@ def _canon_independent(a: BinMatrix, budget: list[int]) -> CanonicalMatrix:
     return CanonicalMatrix(BinMatrix(a.cols, tuple(rows.data[i] for i in row_perm)), row_perm, col_perm)
 
 
-def _canon_conjugation(a: BinMatrix, budget: list[int]) -> CanonicalMatrix:
-    perm = tuple(_search(list(a.data), [(1 << a.rows) - 1], budget)[1])
-    return CanonicalMatrix(_permuted(a, perm, perm), perm, perm)
-
-
 def canonical_form(a: BinMatrix, mode: str = MODE_INDEPENDENT) -> CanonicalMatrix:
     """Minimal orbit element under the fixed matrix order.
 
@@ -264,7 +259,8 @@ def canonical_form(a: BinMatrix, mode: str = MODE_INDEPENDENT) -> CanonicalMatri
     if mode == MODE_CONJUGATION:
         if not a.is_square:
             raise ShapeError(f"conjugation mode needs a square matrix, got {a.shape}")
-        return _canon_conjugation(a, [SEARCH_BUDGET])
+        perm = tuple(_search(list(a.data), [(1 << a.rows) - 1], [SEARCH_BUDGET])[1])
+        return CanonicalMatrix(_permuted(a, perm, perm), perm, perm)
     raise InvalidInput(f"unknown canonicalization mode {mode!r}")
 
 
@@ -288,10 +284,12 @@ def switching_equivalent(f: Frame, g: Frame) -> bool:
     """Whether two frames agree up to an orthogonal map plus reindexing.
 
     Decided on Gram matrices: the frames are switching equivalent iff the
-    Gram matrices are conjugate under a permutation matrix.
+    Gram matrices are conjugate under a permutation matrix.  A Gram
+    matrix is symmetric, so its least key, which holds every entry on and
+    below the diagonal, fixes its canonical matrix.
     """
     gf, gg = gram(f.analysis), gram(g.analysis)
     if f.n != g.n or _weight_profiles(gf) != _weight_profiles(gg):
         return False
     budget = [SEARCH_BUDGET]
-    return _canon_conjugation(gf, budget).matrix == _canon_conjugation(gg, budget).matrix
+    return _search(list(gf.data), [(1 << f.k) - 1], budget)[0] == _search(list(gg.data), [(1 << g.k) - 1], budget)[0]

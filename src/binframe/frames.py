@@ -9,7 +9,7 @@ orthonormal columns, i.e. ``theta* theta = I``.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
 from .errors import DimensionError, NotSpanningError, ShapeError
 from .gf2 import BinMatrix, BinVector, _Record
@@ -24,47 +24,35 @@ __all__ = [
 
 
 class Frame(_Record):
-    """An ordered sequence of k vectors spanning GF(2)^n.
+    """A sequence of k vectors spanning GF(2)^n, held as its k x n
+    analysis matrix, whose row i is vector i.
 
-    Construction validates both uniform dimensions (DimensionError) and
-    the spanning condition (NotSpanningError); a non-spanning sequence is
-    not a frame at all.
+    Construction validates the spanning condition (NotSpanningError); a
+    non-spanning sequence is not a frame at all.
     """
 
-    __slots__ = ("vectors",)
+    __slots__ = ("analysis",)
 
-    def __init__(self, vectors: tuple[BinVector, ...]):
-        if not vectors:
-            raise DimensionError("a frame needs at least one vector")
-        n = vectors[0].n
-        for i, v in enumerate(vectors):
-            if v.n != n:
-                raise DimensionError(f"vector {i} has dimension {v.n}, expected {n}")
-        object.__setattr__(self, "vectors", vectors)
-        if self.analysis.rank() != n:
-            raise NotSpanningError(f"vectors do not span GF(2)^{n}")
+    def __init__(self, analysis: BinMatrix):
+        if analysis.rank() != analysis.cols:
+            raise NotSpanningError(f"vectors do not span GF(2)^{analysis.cols}")
+        object.__setattr__(self, "analysis", analysis)
 
     @classmethod
-    def from_vectors(cls, vectors: Sequence[BinVector | Iterable[int]]) -> "Frame":
-        return cls(
-            tuple(v if isinstance(v, BinVector) else BinVector.from_bits(v) for v in vectors)
-        )
+    def from_vectors(cls, vectors: Iterable[BinVector | Iterable[int]]) -> "Frame":
+        return cls(BinMatrix.from_rows(vectors))
 
-    @classmethod
-    def from_analysis(cls, theta: BinMatrix) -> "Frame":
-        return cls(theta.row_vectors())
+    @property
+    def vectors(self) -> tuple[BinVector, ...]:
+        return self.analysis.row_vectors()
 
     @property
     def k(self) -> int:
-        return len(self.vectors)
+        return self.analysis.rows
 
     @property
     def n(self) -> int:
-        return self.vectors[0].n
-
-    @property
-    def analysis(self) -> BinMatrix:
-        return BinMatrix.from_rows(self.vectors)
+        return self.analysis.cols
 
     @property
     def synthesis(self) -> BinMatrix:
@@ -87,9 +75,9 @@ def reconstruct(x: BinVector, f: Frame) -> BinVector:
         raise DimensionError(f"x has dimension {x.n}, frame lives in GF(2)^{f.n}")
     acc = 0
     xb = x.bits
-    for v in f.vectors:
-        if (v.bits & xb).bit_count() & 1:
-            acc ^= v.bits
+    for v in f.analysis.data:
+        if (v & xb).bit_count() & 1:
+            acc ^= v
     return BinVector(f.n, acc)
 
 

@@ -151,26 +151,19 @@ class BinMatrix(_Record):
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_rows(cls, rows: Sequence[BinVector | Iterable[int]]) -> "BinMatrix":
+    def from_rows(cls, rows: Iterable[BinVector | Iterable[int]]) -> "BinMatrix":
         vecs = [r if isinstance(r, BinVector) else BinVector.from_bits(r) for r in rows]
         if not vecs:
-            raise DimensionError("row count must be positive")
-        cols = vecs[0].n
+            raise DimensionError("at least one vector is needed")
+        n = vecs[0].n
         for i, v in enumerate(vecs):
-            if v.n != cols:
-                raise DimensionError(f"row {i} has dimension {v.n}, expected {cols}")
-        return cls(cols, tuple(v.bits for v in vecs))
+            if v.n != n:
+                raise DimensionError(f"vector {i} has dimension {v.n}, expected {n}")
+        return cls(n, tuple(v.bits for v in vecs))
 
     @classmethod
-    def from_cols(cls, columns: Sequence[BinVector | Iterable[int]]) -> "BinMatrix":
-        vecs = [c if isinstance(c, BinVector) else BinVector.from_bits(c) for c in columns]
-        if not vecs:
-            raise DimensionError("column count must be positive")
-        k = vecs[0].n
-        for j, v in enumerate(vecs):
-            if v.n != k:
-                raise DimensionError(f"column {j} has dimension {v.n}, expected {k}")
-        return cls(k, tuple(v.bits for v in vecs)).transpose()
+    def from_cols(cls, columns: Iterable[BinVector | Iterable[int]]) -> "BinMatrix":
+        return cls.from_rows(columns).transpose()
 
     @classmethod
     def identity(cls, n: int) -> "BinMatrix":

@@ -15,7 +15,7 @@ analysis matrix's columns to an orthonormal basis.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 from .errors import DimensionError, ExtensionObstruction, InvalidInput
 from .frames import is_parseval
@@ -59,19 +59,6 @@ class OrthonormalSequence(_Record):
                     raise InvalidInput(f"vectors {j} and {i} are not orthogonal")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "vecs", vecs)
-
-    @classmethod
-    def from_vectors(
-        cls, vectors: Sequence[BinVector | Iterable[int]], dim: int | None = None
-    ) -> "OrthonormalSequence":
-        vecs = tuple(
-            v if isinstance(v, BinVector) else BinVector.from_bits(v) for v in vectors
-        )
-        if dim is None:
-            if not vecs:
-                raise DimensionError("ambient dimension required for an empty sequence")
-            dim = vecs[0].n
-        return cls(dim, vecs)
 
     def __len__(self) -> int:
         return len(self.vecs)

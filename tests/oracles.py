@@ -275,6 +275,14 @@ def repetition_free_cyclic_grams(k: int) -> list[tuple[int, int, str]]:
     return out
 
 
+def aperiodic_by_divisors(c: int, k: int) -> bool:
+    """Whether no proper rotation fixes the row ``c`` (bit i is entry i),
+    tried only for the rotations by the proper divisors d of k: a row
+    fixed by a rotation by s is fixed by the one by gcd(s, k)."""
+    mask = (1 << k) - 1
+    return all(((c << d | c >> (k - d)) & mask) != c for d in range(1, k) if k % d == 0)
+
+
 def perm_equivalent_brute(a_rows: tuple[int, ...], b_rows: tuple[int, ...], cols: int) -> bool:
     """Independent row/column permutation equivalence by exhaustion."""
     b_col_multiset = sorted(

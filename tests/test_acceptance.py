@@ -286,7 +286,7 @@ def test_criterion_6_reconstruction_identity():
         for _ in range(1000):
             theta = _random_parseval(rng)
             assert is_parseval(theta)
-            frame = Frame.from_analysis(theta)
+            frame = Frame(theta)
             n = frame.n
             for x in range(1 << n):
                 v = BinVector(n, x)

@@ -1,5 +1,6 @@
 """Catalog enumeration: orthogonal classes, circulant Grams, factored pairs."""
 
+import random
 import time
 from pathlib import Path
 
@@ -19,9 +20,10 @@ from binframe import (
     is_parseval,
     odd_columns,
 )
-from binframe.catalog import _aperiodic
+from binframe.catalog import _aperiodic, _cyclic_rows
 from oracles import (
     all_orthonormal_sets,
+    aperiodic_by_divisors,
     circulant_int_rows,
     int_dot,
     int_product_rows,
@@ -187,6 +189,25 @@ def test_cyclic_catalog_matches_scan():
             matrix = cg.matrix()
             assert cg.rank == matrix.rank()
             assert _aperiodic(cg.first_row.bits, k) == (len(set(matrix.data)) == k)
+
+
+def test_rotation_test_matches_divisor_oracle():
+    """The rotation test (s does not occur inside s + s) against rotations
+    by the proper divisors of k: every row of every admitted cyclic
+    catalog up to k = 128, and random rows, a third of them repeating a
+    block whose length divides k."""
+    for k in range(1, 129):
+        for c in _cyclic_rows(k):
+            assert _aperiodic(c, k) == aperiodic_by_divisors(c, k), (k, c)
+    rng = random.Random(150)
+    for i in range(6000):
+        k = rng.randint(1, 40)
+        if i % 3:
+            c = rng.getrandbits(k)
+        else:
+            d = rng.choice([d for d in range(1, k + 1) if k % d == 0])
+            c = int(format(rng.getrandbits(d), f"0{d}b") * (k // d), 2)
+        assert _aperiodic(c, k) == aperiodic_by_divisors(c, k), (k, c)
 
 
 def _assert_cyclic_gram_by_definition(cg):

@@ -538,6 +538,22 @@ def test_canon_refuses_over_the_search_budget(write, capsys):
     assert captured.err == f"binframe: error: canonical form is over its search budget of {SEARCH_BUDGET} steps\n"
 
 
+def test_canon_answers_at_the_search_budget(write, capsys):
+    """The largest inputs known to answer within the budget: the 63 x 63
+    identity and the 63 x 63 all-ones matrix, the slowest of the 128
+    cyclic Grams at k = 63.  Conjugation fixes both, and the first optimal
+    permutation is the identity."""
+    k = 63
+    for rows in (["".join("1" if j == i else "0" for j in range(k)) for i in range(k)], ["1" * k] * k):
+        path = write("m63.json", _json_matrix(rows))
+        start = time.monotonic()
+        assert run(["canon", path, "--format", "json", "--mode", "conjugation"]) == 0
+        assert time.monotonic() - start < 30.0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["matrix"]["data"] == rows
+        assert doc["row_perm"] == doc["col_perm"] == list(range(k))
+
+
 def _json_matrix(rows):
     return json.dumps({"rows": len(rows), "cols": len(rows[0]), "data": rows})
 
@@ -1181,11 +1197,20 @@ def test_factor_job_loads_only_its_own_modules(write):
     assert "binframe.catalog" not in loaded
 
 
-@pytest.mark.parametrize("command", ["complement", "extend"])
-def test_failed_self_check_of_the_basis_is_an_internal_error(command, write, capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "command,text,what",
+    [
+        ("complement", "11\n11\n10\n01\n", "complement"),
+        ("extend", "1110000\n0001000\n", "extension"),
+        ("factor", "100\n010\n001\n", "factorization"),
+    ],
+    ids=["complement", "extend", "factor"],
+)
+def test_failed_self_check_of_the_basis_is_an_internal_error(command, text, what, write, capsys, monkeypatch):
     """A corrupted last vector of the orthonormal fill is caught by the
-    command's own check and reported with exit 2, not read as a "no"."""
-    from binframe import naimark
+    command's own check and reported with exit 2, not read as a "no".
+    ``gramfactor`` binds the fill at import, so it is patched there too."""
+    from binframe import gramfactor, naimark
 
     fill = naimark._orthonormal_fill
 
@@ -1194,11 +1219,11 @@ def test_failed_self_check_of_the_basis_is_an_internal_error(command, write, cap
         return vecs[:-1] + [vecs[-1] ^ 1]
 
     monkeypatch.setattr(naimark, "_orthonormal_fill", corrupted)
-    path = write("rows.txt", "1110000\n0001000\n") if command == "extend" else write("theta.txt", "11\n11\n10\n01\n")
-    assert run([command, path]) == 2
+    monkeypatch.setattr(gramfactor, "_orthonormal_fill", corrupted)
+    assert run([command, write("m.txt", text)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"binframe: internal error: {'extension' if command == 'extend' else 'complement'} failed its check")
+    assert captured.err.startswith(f"binframe: internal error: {what} failed its check")
 
 
 def test_every_command_is_clean_under_dev_mode_with_warnings_as_errors(write):

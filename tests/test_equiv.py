@@ -13,6 +13,7 @@ from binframe import (
     BinMatrix,
     BinVector,
     Frame,
+    InvalidInput,
     ShapeError,
     canonical_form,
     enum_cyclic_gram,
@@ -165,6 +166,8 @@ def test_conjugation_preserves_cycle_type():
 def test_conjugation_mode_needs_square():
     with pytest.raises(ShapeError):
         canonical_form(BinMatrix(3, (0,) * 2), MODE_CONJUGATION)
+    with pytest.raises(InvalidInput, match="^unknown canonicalization mode 'bogus'$"):
+        canonical_form(BinMatrix.identity(2), "bogus")
 
 
 def test_permutation_equivalent_examples():
@@ -225,8 +228,8 @@ def test_switching_equivalent_shape_mismatch():
 
 def test_full_width_orthogonal_frames_share_identity_gram():
     """Both full orthogonal matrices have Gram I, hence one switching class."""
-    f = Frame.from_analysis(BinMatrix.identity(4))
-    g = Frame.from_analysis(cols_matrix(4, [7, 11, 13, 14]))
+    f = Frame(BinMatrix.identity(4))
+    g = Frame(cols_matrix(4, [7, 11, 13, 14]))
     assert gram(f.analysis) == BinMatrix.identity(4) == gram(g.analysis)
     assert switching_equivalent(f, g)
     assert conjugation_equivalent_brute(gram(f.analysis).data, gram(g.analysis).data)
@@ -234,8 +237,8 @@ def test_full_width_orthogonal_frames_share_identity_gram():
 
 def test_single_column_selections_can_differ():
     # one column from each k=4 catalog class: distinct Gram conjugation orbits
-    f = Frame.from_analysis(BinMatrix.from_cols([BinVector(4, 1)]))
-    g = Frame.from_analysis(BinMatrix.from_cols([BinVector(4, 7)]))
+    f = Frame(BinMatrix.from_cols([BinVector(4, 1)]))
+    g = Frame(BinMatrix.from_cols([BinVector(4, 7)]))
     assert not switching_equivalent(f, g)
     assert not conjugation_equivalent_brute(gram(f.analysis).data, gram(g.analysis).data)
 
@@ -247,7 +250,7 @@ def test_switching_equivalent_agrees_with_brute_force():
         k = max(v.bit_length() for v in ints)
         m = BinMatrix.from_cols([BinVector(k, v) for v in ints])
         if m.rank() == m.cols:
-            frames.append(Frame.from_analysis(m))
+            frames.append(Frame(m))
     for f in frames:
         for g in frames:
             if (f.k, f.n) != (g.k, g.n):
@@ -258,13 +261,42 @@ def test_switching_equivalent_agrees_with_brute_force():
     assert switching_equivalent(frames[0], shuffled)
 
 
+def test_switching_equivalent_matches_canonical_forms_and_brute_force():
+    """Least keys against the canonical Gram matrices they replaced and
+    against exhaustive conjugation, on every pair of random spanning
+    frames of one shape with k <= 6.  Each frame comes with a copy whose
+    vectors are reordered, so both answers occur often, and Grams with
+    equal row weights that are not conjugate occur too."""
+    rng = random.Random(18)
+    answers = set()
+    for k in range(2, 7):
+        for n in range(1, k + 1):
+            pool = []
+            while len(pool) < 32:
+                m = BinMatrix(n, tuple(rng.getrandbits(n) for _ in range(k)))
+                if m.rank() == n:
+                    pool += [m, BinMatrix(n, tuple(rng.sample(m.data, k)))]
+            frames = [Frame(m) for m in pool]
+            grams = [gram(m) for m in pool]
+            weights = [sorted(r.bit_count() for r in g.data) for g in grams]
+            canon = [canonical_form(g, MODE_CONJUGATION).matrix for g in grams]
+            for i, f in enumerate(frames):
+                for j, g in enumerate(frames):
+                    answer = switching_equivalent(f, g)
+                    assert answer == (canon[i] == canon[j]), (k, n, i, j)
+                    brute = weights[i] == weights[j] and conjugation_equivalent_brute(grams[i].data, grams[j].data)
+                    assert answer == brute, (k, n, i, j)
+                    answers.add((answer, weights[i] == weights[j]))
+    assert answers == {(False, False), (False, True), (True, True)}
+
+
 def test_switching_oracle_agreement_at_k6():
     from binframe import enum_orthogonal
 
     classes = enum_orthogonal(6).classes
     picks = [
-        Frame.from_analysis(BinMatrix.from_cols(classes[1].col_vectors()[:3])),
-        Frame.from_analysis(BinMatrix.from_cols(classes[7].col_vectors()[:3])),
+        Frame(BinMatrix.from_cols(classes[1].col_vectors()[:3])),
+        Frame(BinMatrix.from_cols(classes[7].col_vectors()[:3])),
     ]
     for f in picks:
         for g in picks:

@@ -53,6 +53,7 @@ def test_parse_dense_example():
 def test_parse_cols_int_orthogonal_class():
     m = parse_matrix("k=4\n7 11 13 14", "cols-int")
     assert [c.bits for c in m.col_vectors()] == [7, 11, 13, 14]
+    assert parse_matrix("k=4\n7 11\n\n  \n13 14\n", "cols-int") == m  # blank lines between columns
     single = parse_matrix("k=4\n13", "cols-int")
     assert single.col_vectors()[0] == BinVector.from_bits([1, 0, 1, 1])
 
@@ -96,6 +97,9 @@ def test_cols_int_rejects_non_ascii_digits():
 def test_cols_int_missing_header():
     with pytest.raises(ParseError):
         parse_matrix("7 11", "cols-int")
+    with pytest.raises(ParseError, match="^expected header of the form k=K$") as info:
+        parse_matrix("\n  \n\t\n", "cols-int")
+    assert (info.value.line, info.value.column) == (1, 1)
 
 
 def test_cols_int_no_values():
@@ -115,6 +119,9 @@ def test_bad_json_reports_position():
 
 
 def test_json_field_validation():
+    for doc in ("[1, 2]", "3", '"rows"'):
+        with pytest.raises(ParseError, match="^expected a JSON object with rows, cols, data$"):
+            parse_matrix(doc, "json")
     with pytest.raises(ParseError):
         parse_matrix(json.dumps({"rows": 1, "cols": 2}), "json")
     with pytest.raises(ParseError):
@@ -157,6 +164,9 @@ def test_cols_int_header_limit():
     """A header may declare at most COLS_INT_MAX_K rows."""
     m = parse_matrix(f"k={COLS_INT_MAX_K}\n1 0\n", "cols-int")
     assert (m.rows, m.cols, m.data[0], m.data[-1]) == (COLS_INT_MAX_K, 2, 1, 0)
+    with pytest.raises(ParseError, match="^k must be positive, got 0$") as info:
+        parse_matrix("\nk=0\n1\n", "cols-int")
+    assert (info.value.line, info.value.column) == (2, 1)
     for k in (COLS_INT_MAX_K + 1, 10**9):
         with pytest.raises(ParseError, match=f"k={k} is over the limit of {COLS_INT_MAX_K} rows") as info:
             parse_matrix(f"k={k}\n1\n", "cols-int")

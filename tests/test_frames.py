@@ -118,7 +118,7 @@ def parseval_samples():
 @pytest.mark.parametrize("theta", list(parseval_samples()))
 def test_parseval_reconstruction_exhaustive(theta):
     assert is_parseval(theta)
-    f = Frame.from_analysis(theta)
+    f = Frame(theta)
     for x in range(1 << theta.cols):
         v = BinVector(theta.cols, x)
         assert reconstruct(v, f) == v

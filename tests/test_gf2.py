@@ -52,6 +52,8 @@ def test_dot_canonical_basis_is_orthonormal():
 def test_dot_dimension_mismatch():
     with pytest.raises(DimensionError):
         vec(1, 0).dot(vec(1, 0, 1))
+    with pytest.raises(DimensionError, match="^cannot add vectors of dimension 2 and 3$"):
+        vec(1, 0) + vec(1, 0, 1)
 
 
 @pytest.mark.parametrize(
@@ -87,8 +89,9 @@ def test_zero_dimension_rejected():
         BinVector(0, 0)
     with pytest.raises(DimensionError):
         BinMatrix(0, (0,))
-    with pytest.raises(DimensionError):
-        BinMatrix.from_rows([])
+    for build in (BinMatrix.from_rows, BinMatrix.from_cols):
+        with pytest.raises(DimensionError, match="^at least one vector is needed$"):
+            build([])
 
 
 def test_stray_bits_rejected():
@@ -123,6 +126,10 @@ def test_mat_mul_hollow_all_ones_is_idempotent():
 def test_mat_mul_dimension_mismatch():
     with pytest.raises(DimensionError):
         BinMatrix(3, (0,) * 2) @ BinMatrix(3, (0,) * 2)
+    with pytest.raises(DimensionError, match=r"^cannot add shapes \(2, 3\) and \(3, 3\)$"):
+        BinMatrix(3, (0,) * 2) + BinMatrix.identity(3)
+    with pytest.raises(DimensionError, match=r"^cannot apply shape \(2, 3\) to dimension 2$"):
+        BinMatrix(3, (0,) * 2).mul_vec(vec(1, 0))
 
 
 def test_rank_examples():
@@ -190,6 +197,14 @@ def test_circulant_layout():
     assert c.row(1) == vec(1, 1, 1, 0)
     assert c.row(2) == vec(0, 1, 1, 1)
     assert c.row(3) == vec(1, 0, 1, 1)
+    assert [c[1, j] for j in range(4)] == [1, 1, 1, 0]
+    assert (c.row(2)[0], c.row(2)[3], str(c.row(2))) == (0, 1, "0111")
+    for i, j in ((4, 0), (0, 4), (-1, 0)):
+        with pytest.raises(IndexError):
+            c[i, j]
+    for i in (4, -1):
+        with pytest.raises(IndexError):
+            c.row(0)[i]
 
 
 def test_from_cols_matches_col_accessor():

@@ -109,14 +109,19 @@ def test_sources_parse_as_python_3_10():
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
 
 
-def test_bench_tracer_finds_every_hooked_name():
-    """``bench/tracing.py`` wraps library functions and methods by name
-    (``bench/run.py --trace 1``); removing or renaming one of them breaks
-    ``install`` with a KeyError here, not only in a benchmark run."""
+def _bench_tracing():
     spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     importlib.import_module("binframe.cli")  # as bench/run.py does; it loads formats too
+    return tracing
+
+
+def test_bench_tracer_finds_every_hooked_name():
+    """``bench/tracing.py`` wraps library functions and methods by name
+    (``bench/run.py --trace 1``); removing or renaming one of them breaks
+    ``install`` with a KeyError here, not only in a benchmark run."""
+    tracing = _bench_tracing()
     solve = gf2.solve
     tracer = tracing.Tracer(binframe)
     try:
@@ -125,3 +130,44 @@ def test_bench_tracer_finds_every_hooked_name():
     finally:
         tracer.uninstall()
     assert gf2.solve is solve
+
+
+def test_bench_tracer_runs_every_hook(tmp_path, capsys):
+    """Each traced callable runs once under the tracer, through the CLI
+    where a command reaches it, and the spans fold into the per-layer
+    metrics: a hook's ``info`` that reads a renamed attribute fails here,
+    not only in ``bench/run.py --trace 1``."""
+    tracing = _bench_tracing()
+    cli = binframe.cli
+
+    def path(name, text):
+        (tmp_path / name).write_text(text)
+        return str(tmp_path / name)
+
+    theta = path("theta.txt", "11\n11\n10\n01\n")
+    commands = [
+        (["check", "parseval", theta], 0),
+        (["gram", theta], 0),
+        (["factor", path("i3.txt", "100\n010\n001\n")], 0),
+        (["complement", theta], 0),
+        (["extend", path("seed.txt", "1110000\n0001000\n")], 0),
+        (["enum", "cyclic", "--k", "7"], 0),
+        (["enum", "cyclic", "--k", "7", "--nonrepeating"], 0),
+        (["enum", "orthogonal", "--k", "3"], 0),
+        (["canon", theta], 0),
+        (["equiv", "perm", theta, theta], 0),
+        (["equiv", "switching", theta, theta], 0),
+    ]
+    tracer = tracing.Tracer(binframe)
+    try:
+        tracer.install()
+        for argv, code in commands:
+            assert cli.run(argv) == code, argv
+        assert len(list(gf2.solve(gf2.BinMatrix.identity(2), gf2.BinVector(2, 1)))) == 1
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    spans, yielded = tracer.take()
+    assert {span[0] for span in spans} == {name for name, *_ in tracing._functions(binframe)}
+    metrics = tracing.summarize(spans, yielded)
+    assert metrics["catalog.entries"] > 0 and metrics["gf2.solutions.yielded"] == 1

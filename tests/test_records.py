@@ -36,7 +36,7 @@ RECORDS = [
     (BinVector, ("n", "bits"), (4, 7), (4, 11)),
     (BinMatrix, ("cols", "data"), (2, (1, 2)), (2, (2, 1))),
     (AffineSolutionSet, ("n", "particular", "nullbasis"), (2, BinVector(2, 1), (BinVector(2, 2),)), (2, None, ())),
-    (Frame, ("vectors",), ((BinVector(2, 1), BinVector(2, 2)),), ((BinVector(2, 2), BinVector(2, 1)),)),
+    (Frame, ("analysis",), (I2,), (BinMatrix(2, (2, 1)),)),
     (OrthonormalSequence, ("dim", "vecs"), (3, (BinVector(3, 1),)), (3, (BinVector(3, 7),))),
     (GramCandidate, ("m",), (I2,), (BinMatrix(2, (1, 0)),)),
     (Factorization, ("theta",), (I2,), (J2,)),
@@ -131,9 +131,13 @@ def test_repr_examples():
         (lambda: BinMatrix(0, (1,)), DimensionError, "column count must be positive, got 0"),
         (lambda: BinMatrix(2, ()), DimensionError, "row count must be positive"),
         (lambda: BinMatrix(2, (1, 4)), ValueError, "row 1 has bits outside 2 columns"),
-        (lambda: Frame(()), DimensionError, "a frame needs at least one vector"),
-        (lambda: Frame((BinVector(2, 1), BinVector(3, 1))), DimensionError, "vector 1 has dimension 3, expected 2"),
-        (lambda: Frame((BinVector(2, 1), BinVector(2, 1))), NotSpanningError, "vectors do not span GF(2)^2"),
+        (lambda: BinVector.basis(3, 3), DimensionError, "basis index 3 out of range for dimension 3"),
+        (lambda: BinVector.from_bits([0, 2]), ValueError, "entries must be 0 or 1, got 2"),
+        (lambda: BinMatrix.all_ones(0, 3), DimensionError, "shape (0, 3) must be positive"),
+        (lambda: BinMatrix.from_cols([BinVector(3, 1), BinVector(3, 2), BinVector(2, 1)]), DimensionError, "vector 2 has dimension 2, expected 3"),
+        (lambda: Frame.from_vectors(()), DimensionError, "at least one vector is needed"),
+        (lambda: Frame.from_vectors((BinVector(2, 1), BinVector(3, 1))), DimensionError, "vector 1 has dimension 3, expected 2"),
+        (lambda: Frame(BinMatrix(2, (1, 1))), NotSpanningError, "vectors do not span GF(2)^2"),
         (lambda: OrthonormalSequence(0, ()), DimensionError, "ambient dimension must be positive, got 0"),
         (lambda: OrthonormalSequence(2, (BinVector(3, 1),)), DimensionError, "vector 0 has dimension 3, expected 2"),
         (lambda: OrthonormalSequence(2, (BinVector(2, 3),)), InvalidInput, "vector 0 is even, (v,v) = 0 != 1"),
