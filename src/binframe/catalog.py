@@ -19,7 +19,6 @@ import math
 
 from .errors import UnsupportedSize
 from .gf2 import BinMatrix, BinVector, _Record
-from .gramfactor import GramCandidate, factor_gram
 
 __all__ = [
     "OrthogonalCatalog",
@@ -100,22 +99,18 @@ def enum_orthogonal(k: int) -> OrthogonalCatalog:
     """
     if not 1 <= k <= ORTHOGONAL_MAX_K:
         raise UnsupportedSize(f"orthogonal catalog supports 1 <= k <= {ORTHOGONAL_MAX_K}, got {k}")
-    odd = [v for v in range(1, 1 << k) if v.bit_count() & 1]
     found: list[tuple[int, ...]] = []
 
-    def extend(chosen: list[int], start: int) -> None:
+    def extend(chosen: tuple[int, ...], candidates: list[int]) -> None:
+        # candidates: the odd vectors after chosen[-1] orthogonal to all of
+        # chosen, ascending; none is left at length k, as k orthonormal
+        # vectors are a basis and no odd vector is orthogonal to a basis
         if len(chosen) == k:
-            found.append(tuple(chosen))
-            return
-        # not enough candidates left to finish the set
-        for idx in range(start, len(odd) - (k - len(chosen)) + 1):
-            v = odd[idx]
-            if all(((v & c).bit_count() & 1) == 0 for c in chosen):
-                chosen.append(v)
-                extend(chosen, idx + 1)
-                chosen.pop()
+            found.append(chosen)
+        for i, v in enumerate(candidates):
+            extend((*chosen, v), [w for w in candidates[i + 1 :] if not (v & w).bit_count() & 1])
 
-    extend([], 0)
+    extend((), [v for v in range(1, 1 << k) if v.bit_count() & 1])
     # found ascends, so the last tuple kept per row multiset is its largest
     reps = {tuple(sorted(BinMatrix(k, cols).transpose().data)): cols for cols in found}
     return OrthogonalCatalog(k, tuple(BinMatrix(k, cols).transpose() for cols in sorted(reps.values())))
@@ -211,6 +206,8 @@ def enum_nonrepeating(k: int) -> list[NonRepeatingPair]:
             f"the repetition-free catalog for k={k} has {len(rows)} entries to factor, "
             f"and entries x k^3 is over the limit {NONREPEATING_MAX_WORK}"
         )
+    from .gramfactor import GramCandidate, factor_gram
+
     pairs = []
     for c in rows:
         cg = _circulant_gram(k, c)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import os
 import sys
+from collections.abc import Iterable
 from types import SimpleNamespace
 
 # Start-up loads what parsing and reporting need; each handler imports
@@ -30,9 +31,6 @@ from .errors import (
 )
 from .formats import FORMATS, json_line, matrix_doc, parse_matrix, parse_vector, render_matrix
 from .gf2 import BinMatrix
-
-# Annotations stay strings (PEP 563), so ``typing.Iterable`` below never
-# imports ``typing``.
 
 PROG = "binframe"
 
@@ -211,7 +209,7 @@ def _say(message: str) -> None:
             pass
 
 
-def _negative(args, reason: str, witness=None) -> tuple[int, typing.Iterable[str]]:
+def _negative(args, reason: str, witness=None) -> tuple[int, Iterable[str]]:
     """A well-posed question with answer no: exit 1, the witness document
     in JSON mode, and the reason on stderr once the output is written."""
 
@@ -227,7 +225,7 @@ def _negative(args, reason: str, witness=None) -> tuple[int, typing.Iterable[str
     return 1, chunks()
 
 
-def _answer(args, name: str, value: bool, reason: str | None = None) -> tuple[int, typing.Iterable[str]]:
+def _answer(args, name: str, value: bool, reason: str | None = None) -> tuple[int, Iterable[str]]:
     code = 0 if value else 1
     if args.format == "json":
         doc: dict = {name: value}
@@ -240,7 +238,7 @@ def _answer(args, name: str, value: bool, reason: str | None = None) -> tuple[in
     return code, [f"{name}: {'yes' if value else 'no'}{note}\n"]
 
 
-def _matrix(args, m: BinMatrix, name: str, **extra) -> tuple[int, typing.Iterable[str]]:
+def _matrix(args, m: BinMatrix, name: str, **extra) -> tuple[int, Iterable[str]]:
     """``m`` in ``--format``; in JSON, under ``name`` followed by ``extra``."""
     if args.format == "json":
         return 0, [json_line({name: matrix_doc(m), **extra})]

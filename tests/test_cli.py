@@ -1186,15 +1186,28 @@ def test_piped_stdout_keeps_its_buffered_tail(write):
     assert proc.stdout.count(b"\n") == len(enum_cyclic_gram(63)) > 100
 
 
-def test_factor_job_loads_only_its_own_modules(write):
-    """A ``factor`` child imports no catalog module.  ``equiv`` loads for
-    the ``canon --mode`` choices that parsing needs."""
-    path = write("j3.txt", "111\n111\n111\n")
-    proc = _run_child("-X", "importtime", "-m", "binframe.cli", "factor", path)
-    assert (proc.returncode, proc.stdout) == (0, "1\n1\n1\n")
+@pytest.mark.parametrize(
+    "argv,loads,skips",
+    [
+        (["factor", "j3.txt"], {"gramfactor", "naimark"}, {"catalog"}),
+        (["enum", "cyclic", "--k", "15"], {"catalog"}, {"gramfactor", "naimark"}),
+        (["enum", "orthogonal", "--k", "4"], {"catalog"}, {"gramfactor", "naimark"}),
+        (["enum", "cyclic", "--k", "15", "--nonrepeating"], {"catalog", "gramfactor", "naimark"}, set()),
+    ],
+    ids=["factor", "enum-cyclic", "enum-orthogonal", "enum-nonrepeating"],
+)
+def test_job_loads_only_its_own_modules(argv, loads, skips, write, capsys):
+    """A child imports only the modules its command calls: ``factor`` no
+    catalog module, and ``enum`` the factoring modules only with
+    ``--nonrepeating``.  ``equiv`` loads for the ``canon --mode`` choices
+    that parsing needs.  The output is the in-process output."""
+    argv = [write(a, "111\n111\n111\n") if a.endswith(".txt") else a for a in argv]
+    proc = _run_child("-X", "importtime", "-m", "binframe.cli", *argv)
+    assert run(argv) == proc.returncode == 0
+    assert proc.stdout == capsys.readouterr().out != ""
     loaded = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
-    assert {"binframe.gramfactor", "binframe.naimark"} <= loaded
-    assert "binframe.catalog" not in loaded
+    assert {f"binframe.{m}" for m in loads | {"equiv"}} <= loaded
+    assert not {f"binframe.{m}" for m in skips} & loaded
 
 
 @pytest.mark.parametrize(

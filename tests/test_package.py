@@ -5,11 +5,16 @@ import ast
 import contextlib
 import importlib.util
 import io
+import os
 import re
+import subprocess
+import sys
+import types
+import typing
 from pathlib import Path
 
 import binframe
-from binframe import catalog, equiv, errors, frames, gf2, gramfactor, naimark
+from binframe import catalog, cli, equiv, errors, formats, frames, gf2, gramfactor, naimark
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -60,12 +65,42 @@ def test_public_names_are_exactly_the_forty():
     assert len(names) == len(set(names)) == 40
     assert len(binframe.__all__) == len(set(binframe.__all__))
     assert set(binframe.__all__) == set(names)
+    assert dir(binframe) == sorted(dir(binframe)) and set(names) < set(dir(binframe))
 
 
 def test_public_names_are_the_defining_modules_objects():
+    """Module names resolve too: here every submodule is already an
+    attribute, so the package's ``__getattr__`` is called directly, and in
+    a fresh child, where none is loaded, ``binframe.gf2`` goes through it."""
     for module, names in PUBLIC.items():
         for name in names:
             assert getattr(binframe, name) is getattr(module, name), name
+        assert binframe.__getattr__(module.__name__.rpartition(".")[2]) is module
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    code = "import sys, binframe; print(binframe.gf2.__name__, *sorted(m for m in sys.modules if m.startswith('binframe')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120, check=True)
+    assert proc.stdout.split() == ["binframe.gf2", "binframe", "binframe.errors", "binframe.gf2"]
+
+
+def test_every_annotation_resolves():
+    """``typing.get_type_hints`` evaluates the string annotations (PEP 563)
+    of every function and method in the package; a name an annotation
+    uses but its module never imports fails here."""
+    functions = []
+    for module in (binframe, catalog, cli, equiv, errors, formats, frames, gf2, gramfactor, naimark):
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) == module.__name__:
+                for member in (obj, *(vars(obj).values() if isinstance(obj, type) else ())):
+                    member = getattr(member, "__func__", getattr(member, "fget", member))
+                    if isinstance(member, types.FunctionType):
+                        functions.append(member)
+    unresolved = []
+    for fn in functions:
+        try:
+            typing.get_type_hints(fn)
+        except NameError as e:
+            unresolved.append(f"{fn.__module__}.{fn.__qualname__}: {e}")
+    assert len(functions) > 100 and unresolved == []
 
 
 def test_each_module_lists_its_public_names():

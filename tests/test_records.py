@@ -120,6 +120,8 @@ def test_repr_examples():
     assert repr(BinVector(4, 7)) == "BinVector(n=4, bits=7)"
     assert repr(BinMatrix(2, (1, 2))) == "BinMatrix(cols=2, data=(1, 2))"
     assert repr(Factorization(I2)) == "Factorization(theta=BinMatrix(cols=2, data=(1, 2)))"
+    theta = Factorization(BinMatrix(1, (1, 1, 1)))
+    assert (theta.k, theta.n) == (3, 1)
 
 
 @pytest.mark.parametrize(
