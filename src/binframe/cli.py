@@ -28,8 +28,9 @@ from .errors import (
     NotSpanningError,
     ParseError,
     ShapeError,
+    UnsupportedSize,
 )
-from .formats import FORMATS, json_line, matrix_doc, parse_matrix, parse_vector, render_matrix
+from .formats import COLS_INT_MAX_K, FORMATS, json_line, matrix_doc, parse_matrix, parse_vector, render_matrix
 from .gf2 import BinMatrix
 
 PROG = "binframe"
@@ -43,154 +44,83 @@ class _Help(Exception):
     """``-h``/``--help``: the message is the help text."""
 
 
-def _option(arg: str, names: tuple[str, ...]) -> tuple[str | None, str | None] | None:
-    """Classify one argument: ``(name, explicit value)`` for an option
-    (names match by unique prefix, and ``--name=value`` carries its
-    value), ``(None, None)`` for an unknown option and None for a
-    positional, such as ``-``, ``-5`` or ``-a b``."""
-    if arg[:1] != "-" or len(arg) == 1:
-        return None
-    if arg[1] == "-":
-        key, eq, value = arg[2:].partition("=")
-        found = (key,) if key in names else tuple(n for n in names if n.startswith(key))
-        if len(found) > 1:
-            raise _UsageError(f"ambiguous option: {arg} could match {', '.join('--' + n for n in found)}")
-        if found:
-            return found[0], value if eq else None
-    elif arg[1] == "h":
-        return "help", arg[3:] if arg[2:3] == "=" else arg[2:] or None
-    # a negative number, r"^-\d+$|^-\d*\.\d+$" (where $ also matches
-    # before a final newline), or an argument with a space is positional
-    whole, dot, frac = (arg[1:-1] if arg[-1] == "\n" else arg[1:]).partition(".")
-    if (whole.isdecimal() and not dot) or (frac.isdecimal() and (not whole or whole.isdecimal())) or " " in arg:
-        return None
-    return None, None
-
-
-def _flag(name: str, explicit: str | None) -> None:
-    if explicit is not None:
-        label = "-h/--help" if name == "help" else "--" + name
-        raise _UsageError(f"argument {label}: ignored explicit argument {explicit!r}")
-
-
-def _value(label: str, text: str, kind):
-    """``text`` as the value of a positional or option of the given kind."""
-    if kind is int:
-        try:
-            return int(text)
-        except ValueError:
-            raise _UsageError(f"argument {label}: invalid int value: {text!r}") from None
-    if isinstance(kind, tuple) and text not in kind:
-        choices = ", ".join(map(repr, kind))
-        raise _UsageError(f"argument {label}: invalid choice: {text!r} (choose from {choices})")
-    return text
-
-
-def _parse_command(command: str, argv: list[str]) -> tuple[dict, list[str]]:
-    """The arguments of one command and the arguments left unrecognized."""
-    _, _, positionals, own = _COMMANDS[command]
-    options = {**_COMMON, **own}
-    names = ("help", *options)
-    ns = {"command": command, **dict.fromkeys(positionals), **{n: spec[1] for n, spec in options.items()}}
-    # every argument before the first "--" is classified before any is
-    # used; the "--" goes, and everything after it is positional
-    end = argv.index("--") if "--" in argv else len(argv)
-    kinds = [_option(arg, names) for arg in argv[:end]]
-    argv = argv[:end] + argv[end + 1 :]
-    kinds += [None] * (len(argv) - end)
-    todo = list(positionals.items())
-    extras = []
-    i = 0
-    while i < len(argv):
-        arg, opt = argv[i], kinds[i]
-        i += 1
-        if opt is None:
-            if todo:
-                name, kind = todo.pop(0)
-                ns[name] = _value(name, arg, kind)
-            else:
-                extras.append(arg)
-            continue
-        name, explicit = opt
-        if name is None:
-            extras.append(arg)
-        elif name == "help":
-            _flag(name, explicit)
-            raise _Help(_help(command))
-        elif options[name][0] is None:
-            _flag(name, explicit)
-            ns[name] = True
-        else:
-            if explicit is None:
-                if i >= end or kinds[i] is not None:
-                    raise _UsageError(f"argument --{name}: expected one argument")
-                explicit = argv[i]
-                i += 1
-            ns[name] = _value("--" + name, explicit, options[name][0])
-    missing = [name for name, _ in todo] + ["--" + n for n in own if ns[n] is _REQUIRED]
-    if missing:
-        raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
-    return ns, extras
-
-
 def parse_args(argv: list[str]) -> SimpleNamespace:
     """The arguments of one invocation as a namespace.
 
-    Options and positionals mix in any order, ``--`` ends the options and
-    a repeated option keeps its last value.  Raises ``_UsageError`` for a
-    refused argv and ``_Help`` for ``-h``/``--help``.  Everything after
-    the command word belongs to the command.
+    An argv spelled plainly (a command word, then its positionals in
+    order and ``--name value`` options by their exact names, in any
+    order) is read here: a repeated option keeps its last value and a
+    flag reads True.  Every other argv, such as ``-h``, an abbreviation,
+    an ``=`` form, ``--``, a negative number or a refusal, goes to
+    ``_argparse``.  Raises ``_UsageError`` for a refused argv and
+    ``_Help`` for ``-h``/``--help``.
     """
-    extras = []
-    for i, arg in enumerate(argv):
-        opt = None if arg == "--" else _option(arg, ("help",))
-        if opt is None:
-            if argv[i:] == ["--"]:  # a "--" is the command word unless it is last
-                break
-            ns, more = _parse_command(_value("command", arg, tuple(_COMMANDS)), argv[i + 1 :])
-            extras += more
-            if extras:
-                raise _UsageError(f"unrecognized arguments: {' '.join(extras)}")
-            return SimpleNamespace(**ns)
-        if opt[0] is None:
-            extras.append(arg)
-            continue
-        _flag("help", opt[1])
-        raise _Help(_help(None))
-    raise _UsageError("the following arguments are required: command")
+    if not argv or argv[0] not in _COMMANDS:
+        return _argparse(argv)
+    _, _, positionals, own = _COMMANDS[argv[0]]
+    options = {**_COMMON, **own}
+    ns = {"command": argv[0], **{name: spec[1] for name, spec in options.items()}}
+    todo = list(positionals.items())
+    rest = iter(argv[1:])
+    for arg in rest:
+        if arg[:1] != "-":
+            if not todo:
+                return _argparse(argv)
+            name, kind = todo.pop(0)
+        elif arg[:2] == "--" and arg[2:] in options:
+            name = arg[2:]
+            kind = options[name][0]
+            if kind is None:
+                ns[name] = True
+                continue
+            arg = next(rest, "-")
+            if arg[:1] == "-":
+                return _argparse(argv)
+        else:
+            return _argparse(argv)
+        if kind is int:
+            try:
+                arg = int(arg)
+            except ValueError:
+                return _argparse(argv)
+        elif isinstance(kind, tuple) and arg not in kind:
+            return _argparse(argv)
+        ns[name] = arg
+    if todo or _REQUIRED in ns.values():
+        return _argparse(argv)
+    return SimpleNamespace(**ns)
 
 
-def _form(name: str, kind, option: bool) -> str:
-    """How a positional or an option reads in usage text."""
-    if option and kind is None:
-        return "--" + name
-    if isinstance(kind, tuple):
-        value = "{" + ",".join(kind) + "}"
-    else:
-        value = kind if isinstance(kind, str) else name.upper() if kind is int else name
-    return f"--{name} {value}" if option else value
+def _argparse(argv: list[str]) -> SimpleNamespace:
+    """``argv`` read by argparse, declared from the same table and imported
+    only here, so that a plainly spelled argv never loads it."""
+    import argparse
 
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise _UsageError(message)
 
-def _help(command: str | None) -> str:
-    """The usage text of one command, or of the whole CLI for None."""
-    if command is None:
-        width = max(map(len, _COMMANDS))
-        head = [f"usage: {PROG} [-h] {{{','.join(_COMMANDS)}}} ...", "", "Binary Parseval frame toolkit over GF(2).", ""]
-        head += ["commands:", *(f"  {name:<{width}}  {spec[1]}" for name, spec in _COMMANDS.items()), ""]
-        options = {}
-    else:
-        _, about, positionals, own = _COMMANDS[command]
-        options = {**_COMMON, **own}
-        usage = [f"usage: {PROG} {command} [-h]"]
-        for name, (kind, default, _) in options.items():
-            form = _form(name, kind, True)
-            usage.append(form if default is _REQUIRED else f"[{form}]")
-        usage += [_form(name, kind, False) for name, kind in positionals.items()]
-        head = [" ".join(usage), "", about, ""]
-    lines = [*head, "options:", "  -h, --help", "      show this help message and exit"]
-    for name, (kind, _, note) in options.items():
-        lines += [f"  {_form(name, kind, True)}", f"      {note}"]
-    return "\n".join(lines) + "\n"
+        def print_help(self, file=None):
+            raise _Help(self.format_help())
+
+    def layout(prog):  # one fixed width, whatever the terminal's COLUMNS
+        return argparse.HelpFormatter(prog, width=120, max_help_position=40)
+
+    parser = Parser(prog=PROG, description="Binary Parseval frame toolkit over GF(2).", formatter_class=layout)
+    commands = parser.add_subparsers(dest="command", required=True)
+    for command, (_, about, positionals, own) in _COMMANDS.items():
+        sub = commands.add_parser(command, help=about, description=about, formatter_class=layout)
+        for name, kind in positionals.items():
+            sub.add_argument(name, choices=kind)
+        for name, (kind, default, note) in {**_COMMON, **own}.items():
+            if kind is None:
+                spec = {"action": "store_true"}
+            elif isinstance(kind, tuple):
+                spec = {"choices": kind}
+            else:
+                spec = {"type": int} if kind is int else {"metavar": kind}
+            sub.add_argument("--" + name, default=default, required=default is _REQUIRED, help=note, **spec)
+    return SimpleNamespace(**vars(parser.parse_args(argv)))
 
 
 def _load_matrix(path: str, fmt: str) -> BinMatrix:
@@ -360,7 +290,14 @@ def _cmd_enum(args):
             return json_line({"k": cg.k, "n": cg.rank, "first_row": row.to_bitstring(), "first_row_int": row.bits})
         return cg.first_row.to_bitstring() + "\n"
 
-    return 0, map(line, enum_cyclic_gram(args.k))
+    catalog = enum_cyclic_gram(args.k)
+    # cols-int and JSON print each first row in decimal; the rows ascend
+    bits = catalog[-1].first_row.bits.bit_length()
+    if fmt != "dense" and bits > COLS_INT_MAX_K:
+        raise UnsupportedSize(
+            f"a first row of {bits} bits is over the {fmt} limit of {COLS_INT_MAX_K} bits; --format dense prints it"
+        )
+    return 0, map(line, catalog)
 
 
 def _cmd_equiv(args):
@@ -382,14 +319,14 @@ def _cmd_canon(args):
     return _matrix(args, result.matrix, "matrix", row_perm=list(result.row_perm), col_perm=list(result.col_perm))
 
 
-# The command line as one table, which drives parsing and help.  A command
-# maps to its handler (args -> the exit code and an iterable of output
-# text), its one-line help, its positionals (name -> a tuple of choices, or
-# None for any string) and its own options; every command also takes the
-# _COMMON options.  An option maps name -> (kind, default, help): kind
-# None is a flag, a tuple lists the choices, int reads an int and a string
-# is the metavar of a free string.  A default of _REQUIRED makes the
-# option required.
+# The command line as one table, which drives the plain reader, the
+# argparse parser and its help.  A command maps to its handler (args ->
+# the exit code and an iterable of output text), its one-line help, its
+# positionals (name -> a tuple of choices, or None for any string) and its
+# own options; every command also takes the _COMMON options.  An option
+# maps name -> (kind, default, help): kind None is a flag, a tuple lists
+# the choices, int reads an int and a string is the metavar of a free
+# string.  A default of _REQUIRED makes the option required.
 _REQUIRED = object()
 
 _COMMON = {

@@ -107,12 +107,15 @@ def _parse_cols_int(text: str) -> BinMatrix:
             digits = digits.lstrip()
             if not (eq and key.rstrip() == "k" and digits.isascii() and digits.isdigit()):
                 raise ParseError("expected header of the form k=K", line=lineno, column=1)
+            # compared by length before int() reads it: int() refuses
+            # thousands of digits, leading zeros included
+            digits = digits.lstrip("0") or "0"
+            if len(digits) > len(str(COLS_INT_MAX_K)) or int(digits) > COLS_INT_MAX_K:
+                raise ParseError(f"k={digits} is over the limit of {COLS_INT_MAX_K} rows", line=lineno, column=1)
             k = int(digits)
             header_line = lineno
             if k < 1:
                 raise ParseError(f"k must be positive, got {k}", line=lineno, column=1)
-            if k > COLS_INT_MAX_K:
-                raise ParseError(f"k={k} is over the limit of {COLS_INT_MAX_K} rows", line=lineno, column=1)
             width = len(str((1 << k) - 1))  # digits of the widest column
             continue
         col = 1
@@ -144,6 +147,8 @@ def _parse_json(text: str) -> BinMatrix:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e.msg}", line=e.lineno, column=e.colno) from e
+    except ValueError as e:  # an integer over the int-string limit
+        raise ParseError(f"invalid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise ParseError("expected a JSON object with rows, cols, data")
     try:

@@ -13,8 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from binframe import enum_cyclic_gram
-from binframe.cli import _COMMANDS, _Help, _option, _UsageError, main, parse_args, run
+from binframe import cli, enum_cyclic_gram
+from binframe.cli import _COMMANDS, _COMMON, _REQUIRED, _Help, _UsageError, main, parse_args, run
 from binframe.equiv import SEARCH_BUDGET
 from oracles import (
     ArgparseUsageError,
@@ -661,6 +661,43 @@ def test_cols_int_full_width_column_at_the_limit_answers(write, capsys):
     assert capsys.readouterr() == ("parseval: no\n", "")
 
 
+def test_int_past_the_int_string_limit_is_a_parse_error(write, capsys):
+    """A cols-int header or a JSON integer of 5000 digits is malformed
+    input, not an internal error."""
+    header = write("header.txt", "k=" + "9" * 5000 + "\n1\n")
+    assert run(["check", "parseval", header, "--format", "cols-int"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("binframe: parse error at line 1, column 1: k=999") and err.count("\n") == 1
+    assert err.endswith(" is over the limit of 14284 rows\n")
+    doc = write("m.json", '{"rows": 1, "cols": 1, "data": ["1"], "note": ' + "9" * 5000 + "}")
+    assert run(["check", "parseval", doc, "--format", "json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("binframe: parse error: invalid JSON: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fmt", ["cols-int", "json"])
+def test_cyclic_rows_past_the_cols_int_limit_are_refused(fmt, write, capsys):
+    """At k = 24576 the largest first row has 16385 bits, too many to print
+    in decimal: cols-int and JSON refuse before writing anything, and an
+    existing output file is left as it was."""
+    out = write("out.txt", "kept\n")
+    assert run(["enum", "cyclic", "--k", "24576", "--format", fmt, "--output", out]) == 2
+    assert capsys.readouterr() == (
+        "",
+        f"binframe: error: a first row of 16385 bits is over the {fmt} limit of 14284 bits; --format dense prints it\n",
+    )
+    assert Path(out).read_bytes() == b"kept\n"
+
+
+def test_cyclic_rows_within_the_cols_int_limit_are_written(capsys):
+    """Dense prints the k = 24576 catalog; at k = 14336 the largest first
+    row has 12289 bits, so cols-int prints it."""
+    assert run(["enum", "cyclic", "--k", "24576"]) == 0
+    assert [len(row) for row in capsys.readouterr().out.split()] == [24576, 24576]
+    assert run(["enum", "cyclic", "--k", "14336", "--format", "cols-int"]) == 0
+    assert [int(row).bit_length() for row in capsys.readouterr().out.split()] == [1, 12289]
+
+
 def test_missing_file_exit_code(capsys):
     assert run(["check", "parseval", "/nonexistent/m.txt"]) == 2
     capsys.readouterr()
@@ -868,12 +905,86 @@ def test_parser_agrees_with_argparse():
         assert message in refusals
 
 
-def test_ambiguous_prefix_is_refused():
-    """No two options of a command share a prefix, so only a direct call
-    shows an ambiguous one refused; the message is argparse's."""
-    assert _option("--form=x", ("format", "quiet")) == ("format", "x")
-    with pytest.raises(_UsageError, match=r"^ambiguous option: --fo could match --format, --force$"):
-        _option("--fo", ("help", "format", "force"))
+def test_ambiguous_prefix_is_refused(monkeypatch):
+    """No two options of a command share a prefix, so a ``force`` flag is
+    added to ``check`` to show an ambiguous one refused; the message is
+    argparse's."""
+    handler, about, positionals, own = _COMMANDS["check"]
+    force = {**own, "force": (None, False, "a flag sharing a prefix with --format")}
+    monkeypatch.setitem(_COMMANDS, "check", (handler, about, positionals, force))
+    assert parse_args(["check", "--force", "parseval", "m.txt"]).force is True
+    with pytest.raises(_UsageError) as refused:
+        parse_args(["check", "--fo", "parseval", "m.txt"])
+    assert str(refused.value) == "ambiguous option: --fo could match --format, --force"
+
+
+# Tokens of malformed argvs: "--", help, negative numbers, "=" forms,
+# prefixes, unknown options, bad choices and bad ints among good ones.
+_TOKENS = [
+    *_COMMANDS, "--", "-h", "--help", "--he", "-hx", "-5", "-.5", "-1.", "-", "", "-a b", "-x", "--=x",
+    "--format", "--form", "--fo", "--format=json", "--f=dense", "--output", "--o=out.txt", "--quiet",
+    "--quiet=1", "--q", "--k", "--k=5", "--k=", "--x", "--x=101", "--mode", "--m", "--mode=conj",
+    "--nonrepeating", "--non", "--no=1", "--jobs", "--zzz", "parseval", "orthogonal", "gram", "parsevel",
+    "cyclic", "perm", "switching", "conjugation", "independent-row-col", "conj", "dense", "cols-int",
+    "json", "xml", "m.txt", "a.txt", "5", " 7 ", "x", "1.5", "101",
+]
+
+
+def _malformed_argv(rng):
+    argv = [rng.choice(_TOKENS) for _ in range(rng.randint(0, 7))]
+    if rng.random() < 0.8:
+        argv.insert(0, rng.choice(list(_COMMANDS)))
+    return argv
+
+
+def _plain_value(rng, kind):
+    if isinstance(kind, tuple):
+        return rng.choice(kind)
+    if kind is int:
+        return rng.choice(["0", "5", "15", "007", " 7 ", "1_000", str(rng.randint(0, 10**6))])
+    return rng.choice(["m.txt", "out/a.txt", "a b.txt", "101", "5", "cyclic", "x=1", ""])
+
+
+def _well_formed_argv(rng):
+    """A plainly spelled argv of a random command: its positionals in
+    order, with options by their exact names interleaved and repeated
+    (every required option at least once)."""
+    command = rng.choice(list(_COMMANDS))
+    _, _, positionals, own = _COMMANDS[command]
+    options = {**_COMMON, **own}
+    names = [name for name, spec in options.items() if spec[1] is _REQUIRED]
+    names += rng.choices(list(options), k=rng.randint(0, 4))
+    rng.shuffle(names)
+    argv = [_plain_value(rng, kind) for kind in positionals.values()]
+    for name in names:
+        kind = options[name][0]
+        option = ["--" + name] if kind is None else ["--" + name, _plain_value(rng, kind)]
+        at = rng.randint(0, len(argv))
+        while at and argv[at - 1][:2] == "--" and options[argv[at - 1][2:]][0] is not None:
+            at -= 1  # never between an option and its value
+        argv[at:at] = option
+    return [command, *argv]
+
+
+def test_parser_agrees_with_argparse_on_random_argvs(monkeypatch):
+    """Seeded random argvs, malformed and plainly spelled, give the
+    namespace argparse gives, or the same refusal, or help; no plainly
+    spelled argv reaches the CLI's own argparse fallback."""
+    rng = random.Random(20)
+    outcomes = set()
+    for _ in range(1000):
+        argv = _malformed_argv(rng)
+        outcome = _read(argv)
+        assert outcome == _read_by_argparse(argv), argv
+        outcomes.add(outcome[0])
+    assert outcomes == {"ok", "error", "help"}
+    fallbacks = []
+    fallback = cli._argparse
+    monkeypatch.setattr(cli, "_argparse", lambda argv: fallbacks.append(argv) or fallback(argv))
+    for _ in range(1000):
+        argv = _well_formed_argv(rng)
+        assert _read(argv) == _read_by_argparse(argv), argv
+    assert fallbacks == []
 
 
 def test_usage_errors_print_one_line(capsys):
@@ -1037,6 +1148,17 @@ def test_cli_import_without_site_loads_no_heavy_modules():
     loaded = set(proc.stdout.split())
     assert "binframe.cli" in loaded
     assert not {"argparse", "gettext", "locale", "json", "typing", "re", "dataclasses"} & loaded
+
+
+def test_benchmark_argvs_parse_without_argparse():
+    """Every benchmark job's argv is read by the plain reader, so parsing
+    it in a fresh child leaves ``argparse`` unloaded."""
+    jobs = [argv for argv in _ARGV_OK if any(arg.startswith("out/") for arg in argv)]
+    assert len(jobs) == 12
+    code = f"import sys\nfrom binframe.cli import parse_args\nfor argv in {jobs!r}:\n    parse_args(argv)\n"
+    proc = _run_child("-S", "-c", code + "print('binframe.cli' in sys.modules, 'argparse' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True False\n"
 
 
 def test_package_has_no_assert_statements():

@@ -131,6 +131,8 @@ def test_json_field_validation():
     for rows, cols in ((True, 1), (1, True)):  # bool is an int subclass
         with pytest.raises(ParseError):
             parse_matrix(json.dumps({"rows": rows, "cols": cols, "data": ["1"]}), "json")
+    with pytest.raises(ParseError, match="^invalid JSON: "):  # an ignored key past int()'s limit
+        parse_matrix('{"rows": 1, "cols": 1, "data": ["1"], "note": ' + "9" * 5000 + "}", "json")
 
 
 def test_parse_vector_examples():
@@ -167,7 +169,7 @@ def test_cols_int_header_limit():
     with pytest.raises(ParseError, match="^k must be positive, got 0$") as info:
         parse_matrix("\nk=0\n1\n", "cols-int")
     assert (info.value.line, info.value.column) == (2, 1)
-    for k in (COLS_INT_MAX_K + 1, 10**9):
+    for k in (COLS_INT_MAX_K + 1, 10**9, "9" * 5000):  # 5000 digits are past int()'s limit
         with pytest.raises(ParseError, match=f"k={k} is over the limit of {COLS_INT_MAX_K} rows") as info:
             parse_matrix(f"k={k}\n1\n", "cols-int")
         assert (info.value.line, info.value.column) == (1, 1)
@@ -205,7 +207,7 @@ def test_cols_int_header_cases():
     ASCII digits: exactly what the pattern ^k\s*=\s*([0-9]+)$ accepts on
     the stripped line."""
     identity = BinMatrix.from_rows([[1, 0], [0, 1]])
-    for header in ("k=2", "k = 2", "  k\t=\t02  ", "k\u00a0=\u20032"):
+    for header in ("k=2", "k = 2", "  k\t=\t02  ", "k\u00a0=\u20032", "k=" + "0" * 5000 + "2"):
         assert parse_matrix(f"{header}\n1 2\n", "cols-int") == identity
     former = re.compile(r"^k\s*=\s*([0-9]+)$")
     spaces = ("", " ", "\t", "\u00a0", "\u3000", "\u200b", "x")  # U+200B is no whitespace
