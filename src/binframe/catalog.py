@@ -13,8 +13,6 @@ c(x^(2^a)) of those for m.  Symmetry adds constancy under negation, odd
 columns odd weight.
 """
 
-from __future__ import annotations
-
 import math
 
 from .errors import UnsupportedSize
@@ -33,13 +31,14 @@ ORTHOGONAL_MAX_K = 6
 # Each rank is a gcd of degree-k polynomials on packed ints, costing up
 # to about k^2, so a cyclic catalog is refused when entries x k^2 exceeds
 # this, and so is every k above its square root, 92681.  The slowest
-# admitted catalog, k = 257, takes 1.5 s (Python 3.11.7, one core of a
-# 2-vCPU Xeon host, median of 3).  No k <= 256 has more than
-# 2^16 entries, so no admitted catalog has more either.
+# admitted catalog, k = 257, takes 1.1 s (Python 3.11.7, one core of a
+# 2-vCPU Xeon host whose speed swings by ~40%: 0.9-1.5 s, median of 5).
+# No k <= 256 has more than 2^16 entries, so no admitted catalog has
+# more either.
 CYCLIC_MAX_WORK = 2**33
 # Factoring one entry costs up to about k^3; the repetition-free catalog
 # is refused when entries to factor x k^3 exceeds this (k = 127, just
-# under it, takes 2.2 s on the same host).
+# under it, takes 2.1 s on the same host: 1.4-2.2 s, median of 5).
 NONREPEATING_MAX_WORK = 2**30
 
 
@@ -49,10 +48,6 @@ class OrthogonalCatalog(_Record):
     its largest ascending column tuple."""
 
     __slots__ = ("k", "classes")
-
-    def __init__(self, k: int, classes: tuple[BinMatrix, ...]):
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "classes", classes)
 
     def column_sets(self) -> list[tuple[int, ...]]:
         return [m.transpose().data for m in self.classes]
@@ -64,11 +59,6 @@ class CirculantGram(_Record):
 
     __slots__ = ("k", "first_row", "rank")
 
-    def __init__(self, k: int, first_row: BinVector, rank: int):
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "first_row", first_row)
-        object.__setattr__(self, "rank", rank)
-
     def matrix(self) -> BinMatrix:
         return BinMatrix.circulant(self.first_row)
 
@@ -78,10 +68,6 @@ class NonRepeatingPair(_Record):
     together with an analysis matrix factoring it."""
 
     __slots__ = ("gram", "theta")
-
-    def __init__(self, gram: CirculantGram, theta: BinMatrix):
-        object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "theta", theta)
 
 
 def enum_orthogonal(k: int) -> OrthogonalCatalog:

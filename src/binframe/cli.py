@@ -9,8 +9,6 @@ its limit or an internal error.  In JSON mode, negatives come with a
 machine-readable witness object; other modes print a reason to stderr.
 """
 
-from __future__ import annotations
-
 import os
 import sys
 from collections.abc import Iterable

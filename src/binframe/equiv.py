@@ -27,8 +27,6 @@ step being one row key digit worked out or one generator applied to an
 orbit member, and raises ``UnsupportedSize`` once they are spent.
 """
 
-from __future__ import annotations
-
 from collections.abc import Sequence
 
 from .errors import InvalidInput, ShapeError, UnsupportedSize
@@ -57,11 +55,6 @@ class CanonicalMatrix(_Record):
     """
 
     __slots__ = ("matrix", "row_perm", "col_perm")
-
-    def __init__(self, matrix: BinMatrix, row_perm: tuple[int, ...], col_perm: tuple[int, ...]):
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "row_perm", row_perm)
-        object.__setattr__(self, "col_perm", col_perm)
 
 
 def _permuted(a: BinMatrix, row_perm: Sequence[int], col_perm: Sequence[int]) -> BinMatrix:

@@ -11,8 +11,6 @@ Three interchangeable formats, all round-tripping bit-exactly:
   row bit-strings as in the dense format).
 """
 
-from __future__ import annotations
-
 from .errors import ParseError, UnsupportedSize
 from .gf2 import BinMatrix, BinVector
 
@@ -147,7 +145,7 @@ def _parse_json(text: str) -> BinMatrix:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e.msg}", line=e.lineno, column=e.colno) from e
-    except ValueError as e:  # an integer over the int-string limit
+    except (ValueError, RecursionError) as e:  # an integer over the int-string limit, deep nesting
         raise ParseError(f"invalid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise ParseError("expected a JSON object with rows, cols, data")

@@ -7,8 +7,6 @@ vector.  The frame is Parseval exactly when the analysis matrix has
 orthonormal columns, i.e. ``theta* theta = I``.
 """
 
-from __future__ import annotations
-
 from collections.abc import Iterable
 
 from .errors import DimensionError, NotSpanningError, ShapeError
@@ -33,10 +31,9 @@ class Frame(_Record):
 
     __slots__ = ("analysis",)
 
-    def __init__(self, analysis: BinMatrix):
-        if analysis.rank() != analysis.cols:
-            raise NotSpanningError(f"vectors do not span GF(2)^{analysis.cols}")
-        object.__setattr__(self, "analysis", analysis)
+    def __post_init__(self):
+        if self.analysis.rank() != self.analysis.cols:
+            raise NotSpanningError(f"vectors do not span GF(2)^{self.analysis.cols}")
 
     @classmethod
     def from_vectors(cls, vectors: Iterable[BinVector | Iterable[int]]) -> "Frame":

@@ -10,8 +10,6 @@ The integer value of a vector doubles as its catalog encoding: the vector
 ``(1,0,1,1) <-> 13``.
 """
 
-from __future__ import annotations
-
 from operator import attrgetter
 from collections.abc import Iterable, Iterator, Sequence
 
@@ -26,18 +24,48 @@ __all__ = [
 
 
 class _Record:
-    """Base of the immutable records: the fields are the subclass's
-    ``__slots__``, each set once in its ``__init__`` by
-    ``object.__setattr__``.  Equality needs the exact class and equal
-    fields, the hash is that of the fields, and the repr reads
-    ``Name(field=value, ...)``.  Copy and pickle rebuild through
-    ``__init__``, so they repeat its checks."""
+    """Base of the immutable records.  The fields are the subclass's
+    ``__slots__``; ``__init__`` binds positional, then keyword arguments
+    to them (``TypeError`` for a missing, unexpected or repeated field),
+    sets each once and then calls ``__post_init__``, where a subclass
+    puts its checks.  ``BinVector`` and ``BinMatrix`` keep constructors
+    of their own, since they are built by the thousand in the catalog
+    and construct loops and the binder costs ~0.7 us per call.  Equality
+    needs the exact class and equal fields, the hash is that of the
+    fields, and the repr reads ``Name(field=value, ...)``.  Copy and
+    pickle rebuild through ``__init__``, so they repeat the checks."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
         cls.__match_args__ = cls.__slots__
         cls._fields = attrgetter(*cls.__slots__)
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if kwargs or len(args) != len(names):
+            args = self._bind(args, kwargs)
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def _bind(self, args, kwargs):
+        """One value per field, from positional then keyword arguments."""
+        names, given, where = self.__slots__, len(args), type(self).__qualname__
+        if given > len(names):
+            raise TypeError(f"{where}() got {given} positional values for fields {names}")
+        for name in kwargs:
+            if name not in names:
+                raise TypeError(f"{where}() got an unexpected field {name!r}")
+            if names.index(name) < given:
+                raise TypeError(f"{where}() got multiple values for field {name!r}")
+        for name in names[given:]:
+            if name not in kwargs:
+                raise TypeError(f"{where}() missing field {name!r}")
+        return args + tuple(kwargs[name] for name in names[given:])
+
+    def __post_init__(self):
+        pass
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -289,11 +317,6 @@ class AffineSolutionSet(_Record):
     """
 
     __slots__ = ("n", "particular", "nullbasis")
-
-    def __init__(self, n: int, particular: BinVector | None, nullbasis: tuple[BinVector, ...]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "particular", particular)
-        object.__setattr__(self, "nullbasis", nullbasis)
 
     @property
     def is_consistent(self) -> bool:

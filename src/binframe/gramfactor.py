@@ -12,8 +12,6 @@ kernel of m as extra constraints.  Choices are pinned so the output is
 deterministic.
 """
 
-from __future__ import annotations
-
 from .errors import InvalidInput, NotGramMatrix, ShapeError
 from .gf2 import BinMatrix, BinVector, _Record
 from .naimark import _orthonormal_fill
@@ -36,11 +34,6 @@ class GramCandidate(_Record):
 
     __slots__ = ("m",)
 
-    def __init__(self, m: BinMatrix):
-        object.__setattr__(self, "m", m)
-        self.__post_init__()
-
-    # kept as a method of its own so that bench/tracing.py can time it
     def __post_init__(self):
         if not self.m.is_square:
             raise ShapeError(f"Gram candidate must be square, got shape {self.m.shape}")
@@ -58,9 +51,6 @@ class Factorization(_Record):
     """Analysis matrix theta with orthonormal columns reproducing the Gram."""
 
     __slots__ = ("theta",)
-
-    def __init__(self, theta: BinMatrix):
-        object.__setattr__(self, "theta", theta)
 
     @property
     def k(self) -> int:

@@ -13,8 +13,6 @@ one frame vector is even, and the complement falls out of extending the
 analysis matrix's columns to an orthonormal basis.
 """
 
-from __future__ import annotations
-
 from collections.abc import Sequence
 
 from .errors import DimensionError, ExtensionObstruction, InvalidInput
@@ -40,7 +38,8 @@ class OrthonormalSequence(_Record):
 
     __slots__ = ("dim", "vecs")
 
-    def __init__(self, dim: int, vecs: tuple[BinVector, ...]):
+    def __post_init__(self):
+        dim, vecs = self.dim, self.vecs
         if dim < 1:
             raise DimensionError(f"ambient dimension must be positive, got {dim}")
         for i, v in enumerate(vecs):
@@ -57,8 +56,6 @@ class OrthonormalSequence(_Record):
                 if below := row & ((1 << i) - 1):
                     j = (below & -below).bit_length() - 1
                     raise InvalidInput(f"vectors {j} and {i} are not orthogonal")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "vecs", vecs)
 
     def __len__(self) -> int:
         return len(self.vecs)

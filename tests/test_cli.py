@@ -675,6 +675,17 @@ def test_int_past_the_int_string_limit_is_a_parse_error(write, capsys):
     assert err.startswith("binframe: parse error: invalid JSON: ") and err.count("\n") == 1
 
 
+def test_deeply_nested_json_is_a_parse_error(write, capsys):
+    """JSON nested past the decoder's recursion limit is malformed input,
+    not an internal error."""
+    doc = write("deep.json", "[" * 100_000)
+    assert run(["check", "parseval", doc, "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("binframe: parse error: invalid JSON: ") and captured.err.count("\n") == 1
+    assert "internal error" not in captured.err
+
+
 @pytest.mark.parametrize("fmt", ["cols-int", "json"])
 def test_cyclic_rows_past_the_cols_int_limit_are_refused(fmt, write, capsys):
     """At k = 24576 the largest first row has 16385 bits, too many to print
@@ -1148,6 +1159,22 @@ def test_cli_import_without_site_loads_no_heavy_modules():
     loaded = set(proc.stdout.split())
     assert "binframe.cli" in loaded
     assert not {"argparse", "gettext", "locale", "json", "typing", "re", "dataclasses"} & loaded
+
+
+def test_plain_jobs_load_no_parser_or_json_modules(write):
+    """A job on a plainly spelled argv in a dense format, run to its end,
+    adds none of ``argparse``, ``json`` or ``__future__`` to what a bare
+    interpreter, site hooks included, already has."""
+    listing = "import sys; print(' '.join(sorted(sys.modules)))"
+    bare = set(_run_child("-c", listing).stdout.split())
+    gram = write("j3.txt", "111\n111\n111\n")
+    for argv in (["enum", "cyclic", "--k", "15"], ["factor", gram, "--format", "dense"]):
+        code = f"import sys\nfrom binframe.cli import run\nassert run({argv!r}) == 0\nsys.stdout.flush()\n"
+        proc = _run_child("-c", code + "print()\n" + listing)
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.splitlines()[-1].split())
+        assert "binframe.cli" in loaded, argv
+        assert not {"argparse", "json", "__future__"} & (loaded - bare), argv
 
 
 def test_benchmark_argvs_parse_without_argparse():

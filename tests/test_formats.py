@@ -133,6 +133,8 @@ def test_json_field_validation():
             parse_matrix(json.dumps({"rows": rows, "cols": cols, "data": ["1"]}), "json")
     with pytest.raises(ParseError, match="^invalid JSON: "):  # an ignored key past int()'s limit
         parse_matrix('{"rows": 1, "cols": 1, "data": ["1"], "note": ' + "9" * 5000 + "}", "json")
+    with pytest.raises(ParseError, match="^invalid JSON: "):  # nested past the recursion limit
+        parse_matrix("[" * 100_000, "json")
 
 
 def test_parse_vector_examples():

@@ -152,3 +152,50 @@ def test_repr_examples():
 def test_constructor_checks_raise_as_before(build, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         build()
+
+
+@pytest.mark.parametrize(
+    "cls,args,kwargs,message",
+    [
+        (Factorization, (), {}, "Factorization() missing field 'theta'"),
+        (Factorization, (I2,), {"m": I2}, "Factorization() got an unexpected field 'm'"),
+        (Factorization, (I2,), {"theta": I2}, "Factorization() got multiple values for field 'theta'"),
+        (Factorization, (I2, I2), {}, "Factorization() got 2 positional values for fields ('theta',)"),
+        (OrthonormalSequence, (3,), {}, "OrthonormalSequence() missing field 'vecs'"),
+        (OrthonormalSequence, (3, ()), {"dims": 3}, "OrthonormalSequence() got an unexpected field 'dims'"),
+        (OrthonormalSequence, (3,), {"dim": 3, "vecs": ()}, "OrthonormalSequence() got multiple values for field 'dim'"),
+    ],
+)
+def test_binder_refuses_missing_unexpected_and_repeated_fields(cls, args, kwargs, message):
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        cls(*args, **kwargs)
+
+
+def test_binder_mixes_positional_and_keyword_fields():
+    assert CanonicalMatrix(I2, col_perm=(1, 0), row_perm=(0, 1)) == CanonicalMatrix(I2, (0, 1), (1, 0))
+    with pytest.raises(InvalidInput):  # the checks run after binding
+        OrthonormalSequence(vecs=(BinVector(2, 3),), dim=2)
+
+
+def test_post_init_runs_on_every_construction(monkeypatch):
+    """Keyword construction, copy, deepcopy and pickle all rebuild through
+    ``__init__``, so each one runs the record's checks again."""
+    calls = []
+    check = GramCandidate.__post_init__
+
+    def counted(self):
+        calls.append(self.m)
+        check(self)
+
+    monkeypatch.setattr(GramCandidate, "__post_init__", counted)
+    a = GramCandidate(m=I2)
+    for rebuild in (copy.copy, copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c))):
+        assert rebuild(a) == a
+    assert calls == [I2] * 4
+
+
+def test_rebuilding_a_frame_from_a_non_spanning_matrix_is_refused():
+    cls, args = Frame(I2).__reduce__()
+    assert cls(*args) == Frame(I2)
+    with pytest.raises(NotSpanningError, match=r"^vectors do not span GF\(2\)\^2$"):
+        cls(BinMatrix(2, (1, 1)))
