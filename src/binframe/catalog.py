@@ -38,7 +38,9 @@ ORTHOGONAL_MAX_K = 6
 CYCLIC_MAX_WORK = 2**33
 # Factoring one entry costs up to about k^3; the repetition-free catalog
 # is refused when entries to factor x k^3 exceeds this (k = 127, just
-# under it, takes 2.1 s on the same host: 1.4-2.2 s, median of 5).
+# under it, takes 2.1 s on the same host: 1.4-2.2 s, median of 5; k = 129,
+# the first size refused, took 4.0 s with the cap lifted: 3.6-4.5 s,
+# median of 5).
 NONREPEATING_MAX_WORK = 2**30
 
 

@@ -34,7 +34,7 @@ from .gf2 import BinMatrix
 PROG = "binframe"
 
 
-class _UsageError(Exception):
+class _UsageError(BinFrameError):
     pass
 
 
@@ -122,8 +122,18 @@ def _argparse(argv: list[str]) -> SimpleNamespace:
 
 
 def _load_matrix(path: str, fmt: str) -> BinMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_matrix(fh.read(), fmt)
+    """The matrix in file ``path``.  Bytes that are not UTF-8 are a
+    ParseError at the first of them, by line and byte column.  Line
+    breaks read as in text mode: CR LF and a lone CR become LF."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        lines = (data[: e.start] + b"?").splitlines()
+        message = f"byte 0x{data[e.start]:02x} is not valid UTF-8"
+        raise ParseError(message, line=len(lines), column=len(lines[-1])) from None
+    return parse_matrix(text.replace("\r\n", "\n").replace("\r", "\n"), fmt)
 
 
 def _say(message: str) -> None:
@@ -401,9 +411,6 @@ def run(argv: list[str]) -> int:
         else:
             sys.stdout.writelines(chunks)
         return code
-    except _UsageError as e:
-        _say(f"error: {e}")
-        return 2
     except ParseError as e:
         where = f" at line {e.line}, column {e.column}" if e.line else ""
         _say(f"parse error{where}: {e}")

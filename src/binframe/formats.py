@@ -135,7 +135,7 @@ def _parse_cols_int(text: str) -> BinMatrix:
         raise ParseError("expected header of the form k=K", line=1, column=1)
     if not values:
         raise ParseError("no column integers found", line=header_line, column=1)
-    return BinMatrix.from_cols([BinVector(k, v) for v in values])
+    return BinMatrix(k, tuple(values)).transpose()
 
 
 def _parse_json(text: str) -> BinMatrix:

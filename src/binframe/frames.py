@@ -87,8 +87,8 @@ def is_orthogonal(u: BinMatrix) -> bool:
     """True iff the square matrix satisfies ``u u* = u* u = I``.
 
     For square matrices one of the two identities forces the other, so
-    only ``u u* = I`` is checked.
+    this is ``is_parseval`` on a square matrix.
     """
     if not u.is_square:
         raise ShapeError(f"orthogonality needs a square matrix, got shape {u.shape}")
-    return u @ u.transpose() == BinMatrix.identity(u.rows)
+    return is_parseval(u)

@@ -141,8 +141,6 @@ class BinVector(_Record):
             raise DimensionError(f"cannot add vectors of dimension {self.n} and {other.n}")
         return BinVector(self.n, self.bits ^ other.bits)
 
-    __xor__ = __add__
-
     def dot(self, other: "BinVector") -> int:
         if self.n != other.n:
             raise DimensionError(f"dot product needs equal dimensions, got {self.n} and {other.n}")
@@ -228,14 +226,11 @@ class BinMatrix(_Record):
     def is_square(self) -> bool:
         return len(self.data) == self.cols
 
-    def entry(self, i: int, j: int) -> int:
-        return (self.data[i] >> j) & 1
-
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(ij)
-        return self.entry(i, j)
+        return (self.data[i] >> j) & 1
 
     def row(self, i: int) -> BinVector:
         return BinVector(self.cols, self.data[i])

@@ -52,14 +52,6 @@ class Factorization(_Record):
 
     __slots__ = ("theta",)
 
-    @property
-    def k(self) -> int:
-        return self.theta.rows
-
-    @property
-    def n(self) -> int:
-        return self.theta.cols
-
 
 def odd_columns(m: BinMatrix) -> list[int]:
     """Indices of columns whose entries sum to one, ascending."""

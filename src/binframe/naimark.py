@@ -129,11 +129,8 @@ def extend_to_basis(seq: OrthonormalSequence) -> OrthonormalSequence:
     if len(seq) == k:
         return seq
     ones = BinVector.ones(k)
-    total = seq.vector_sum()
-    if total == ones:
-        raise ExtensionObstruction(
-            f"vector sum is the all-ones vector in GF(2)^{k}", witness=total
-        )
+    if not is_extendable(seq):
+        raise ExtensionObstruction(f"vector sum is the all-ones vector in GF(2)^{k}", witness=ones)
     vecs = _orthonormal_fill(k, (), [v.bits for v in seq.vecs], ones.bits)
     # the constructor re-checks orthonormality, which forces the all-ones
     # sum; a defect there is a broken construction, not a bad input

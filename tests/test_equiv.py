@@ -46,7 +46,7 @@ def test_certificate_reproduces_canonical_matrix():
             res = canonical_form(m, mode)
             for i in range(k):
                 for j in range(k):
-                    assert res.matrix.entry(i, j) == m.entry(res.row_perm[i], res.col_perm[j])
+                    assert res.matrix[i, j] == m[res.row_perm[i], res.col_perm[j]]
 
 
 def test_canonical_form_is_idempotent():
