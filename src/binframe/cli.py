@@ -123,8 +123,7 @@ def _argparse(argv: list[str]) -> SimpleNamespace:
 
 def _load_matrix(path: str, fmt: str) -> BinMatrix:
     """The matrix in file ``path``.  Bytes that are not UTF-8 are a
-    ParseError at the first of them, by line and byte column.  Line
-    breaks read as in text mode: CR LF and a lone CR become LF."""
+    ParseError at the first of them, by line and byte column."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -133,7 +132,7 @@ def _load_matrix(path: str, fmt: str) -> BinMatrix:
         lines = (data[: e.start] + b"?").splitlines()
         message = f"byte 0x{data[e.start]:02x} is not valid UTF-8"
         raise ParseError(message, line=len(lines), column=len(lines[-1])) from None
-    return parse_matrix(text.replace("\r\n", "\n").replace("\r", "\n"), fmt)
+    return parse_matrix(text, fmt)
 
 
 def _say(message: str) -> None:
@@ -185,7 +184,6 @@ def _matrix(args, m: BinMatrix, name: str, **extra) -> tuple[int, Iterable[str]]
 
 def _cmd_check(args):
     from .frames import is_orthogonal, is_parseval
-    from .gramfactor import GramCandidate, is_gram_of_parseval
 
     m = _load_matrix(args.file, args.format)
     if args.property == "parseval":
@@ -193,6 +191,7 @@ def _cmd_check(args):
     try:
         if args.property == "orthogonal":
             return _answer(args, "orthogonal", is_orthogonal(m))
+        from .gramfactor import GramCandidate, is_gram_of_parseval
         ok = is_gram_of_parseval(GramCandidate(m))
     except (InvalidInput, ShapeError) as e:
         return _answer(args, args.property, False, reason=str(e))

@@ -44,19 +44,31 @@ def matrix_doc(m: BinMatrix) -> dict:
 
 def parse_vector(text: str) -> BinVector:
     """A single dense bit-string such as ``1011`` (whitespace ignored)."""
-    bits = 0
-    n = 0
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        for col, ch in enumerate(line, start=1):
-            if ch.isspace():
-                continue
-            if ch not in "01":
-                raise ParseError(f"invalid character {ch!r} in vector", line=lineno, column=col)
-            bits |= (ch == "1") << n
-            n += 1
-    if n == 0:
+    entries = "".join(bits for _, bits in _bit_lines(text, " in vector"))
+    if not entries:
         raise ParseError("empty vector", line=1, column=1)
-    return BinVector(n, bits)
+    return BinVector(len(entries), _bits(entries))
+
+
+def _as_lf(text: str) -> str:
+    """``text`` with every line ending as LF.  A line ends at LF, CR LF or
+    a lone CR, as in text mode, and nowhere else: any other Unicode line
+    or page break is whitespace inside its line."""
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _bit_lines(text: str, what: str = ""):
+    """Each line of ``text`` holding entries, numbered from 1, with its 0/1
+    characters and no whitespace.  Any other character is a ParseError at
+    its line and column, ``what`` ending the message."""
+    for lineno, line in enumerate(_as_lf(text).split("\n"), start=1):
+        entries = "".join(line.split())
+        if entries.strip("01"):
+            # only a bad line is walked character by character, for the column
+            col = next(col for col, ch in enumerate(line, start=1) if ch not in "01" and not ch.isspace())
+            raise ParseError(f"invalid character {line[col - 1]!r}{what}", line=lineno, column=col)
+        if entries:
+            yield lineno, entries
 
 
 def _bits(row: str) -> int:
@@ -67,35 +79,23 @@ def _bits(row: str) -> int:
 def _parse_dense(text: str) -> BinMatrix:
     rows: list[int] = []
     width = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        entries = "".join(line.split())
-        if not entries:
-            continue
-        if entries.strip("01"):
-            # only a bad line is walked character by character, for the column
-            for col, ch in enumerate(line, start=1):
-                if not ch.isspace() and ch not in "01":
-                    raise ParseError(f"invalid character {ch!r}", line=lineno, column=col)
-        bits = _bits(entries)
+    for lineno, entries in _bit_lines(text):
         n = len(entries)
         if width is None:
             width = n
         elif n != width:
-            raise ParseError(
-                f"row has {n} entries, expected {width}", line=lineno, column=1
-            )
-        rows.append(bits)
-    if not rows or not width:
+            raise ParseError(f"row has {n} entries, expected {width}", line=lineno, column=1)
+        rows.append(_bits(entries))
+    if not rows:
         raise ParseError("no matrix rows found", line=1, column=1)
     return BinMatrix(width, tuple(rows))
 
 
 def _parse_cols_int(text: str) -> BinMatrix:
-    lines = text.splitlines()
     k = None
     header_line = 0
     values: list[int] = []
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(_as_lf(text).split("\n"), start=1):
         stripped = line.strip()
         if not stripped:
             continue
@@ -142,7 +142,7 @@ def _parse_json(text: str) -> BinMatrix:
     import json
 
     try:
-        doc = json.loads(text)
+        doc = json.loads(_as_lf(text))
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e.msg}", line=e.lineno, column=e.colno) from e
     except (ValueError, RecursionError) as e:  # an integer over the int-string limit, deep nesting

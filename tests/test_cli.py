@@ -723,6 +723,18 @@ def test_cr_line_breaks_read_as_lf(newline, tmp_path, capsys):
     assert capsys.readouterr() == expected
 
 
+@pytest.mark.parametrize(
+    "sep", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"], ids=lambda sep: f"U+{ord(sep):04X}"
+)
+def test_page_break_does_not_split_a_row(sep, tmp_path, capsys):
+    """Only LF, CR LF and a lone CR end a line: ``10<FF>01`` is the one row
+    1001, whose Gram matrix is 0, not the 2 x 2 identity."""
+    path = tmp_path / "m.txt"
+    path.write_bytes(f"10{sep}01\n".encode())
+    assert run(["gram", str(path)]) == 0
+    assert capsys.readouterr() == ("0\n", "")
+
+
 # Pieces of each format, some malformed, that the fuzz below splices
 # into well-formed documents.
 _FUZZ_TOKENS = {
@@ -1429,18 +1441,26 @@ def test_piped_stdout_keeps_its_buffered_tail(write):
     "argv,loads,skips",
     [
         (["factor", "j3.txt"], {"gramfactor", "naimark"}, {"catalog"}),
+        (["check", "parseval", "i3.txt"], set(), {"gramfactor", "naimark"}),
+        (["check", "orthogonal", "i3.txt"], set(), {"gramfactor", "naimark"}),
+        (["check", "gram", "j3.txt"], {"gramfactor", "naimark"}, set()),
         (["enum", "cyclic", "--k", "15"], {"catalog"}, {"gramfactor", "naimark"}),
         (["enum", "orthogonal", "--k", "4"], {"catalog"}, {"gramfactor", "naimark"}),
         (["enum", "cyclic", "--k", "15", "--nonrepeating"], {"catalog", "gramfactor", "naimark"}, set()),
     ],
-    ids=["factor", "enum-cyclic", "enum-orthogonal", "enum-nonrepeating"],
+    ids=[
+        "factor", "check-parseval", "check-orthogonal", "check-gram", "enum-cyclic", "enum-orthogonal",
+        "enum-nonrepeating",
+    ],
 )
 def test_job_loads_only_its_own_modules(argv, loads, skips, write, capsys):
     """A child imports only the modules its command calls: ``factor`` no
-    catalog module, and ``enum`` the factoring modules only with
-    ``--nonrepeating``.  ``equiv`` loads for the ``canon --mode`` choices
-    that parsing needs.  The output is the in-process output."""
-    argv = [write(a, "111\n111\n111\n") if a.endswith(".txt") else a for a in argv]
+    catalog module, ``check`` the factoring modules only for ``gram``, and
+    ``enum`` them only with ``--nonrepeating``.  ``equiv`` loads for the
+    ``canon --mode`` choices that parsing needs.  The output is the
+    in-process output."""
+    texts = {"i3.txt": "100\n010\n001\n", "j3.txt": "111\n111\n111\n"}
+    argv = [write(a, texts[a]) if a.endswith(".txt") else a for a in argv]
     proc = _run_child("-X", "importtime", "-m", "binframe.cli", *argv)
     assert run(argv) == proc.returncode == 0
     assert proc.stdout == capsys.readouterr().out != ""

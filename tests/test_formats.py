@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 import re
+from functools import partial
 
 import pytest
 from hypothesis import given
@@ -162,6 +163,54 @@ def test_parse_vector_reports_the_line_of_a_bad_character():
             parse_vector(text)
         assert (info.value.line, info.value.column) == where
     assert parse_vector("1\n0\n1") == BinVector.from_bits([1, 0, 1])
+
+
+# Characters that str.splitlines() breaks a line at and text mode does not.
+NOT_LINE_BREAKS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+dense, cols_int, json_ = (partial(parse_matrix, fmt=fmt) for fmt in ("dense", "cols-int", "json"))
+
+
+def _outcome(parse, text):
+    """What ``parse(text)`` returns, or its error with the position."""
+    try:
+        return parse(text)
+    except ParseError as e:
+        return str(e), e.line, e.column
+
+
+@pytest.mark.parametrize("sep", NOT_LINE_BREAKS, ids=lambda sep: f"U+{ord(sep):04X}")
+def test_other_unicode_breaks_are_whitespace_inside_a_line(sep):
+    """Only LF, CR LF and a lone CR end a line.  Any other Unicode line or
+    page break neither splits a dense row, a vector or a cols-int header,
+    nor moves an error to another line."""
+    for parse, text, expected in (
+        (dense, f"10{sep}01\n", BinMatrix.from_rows([[1, 0, 0, 1]])),
+        (parse_vector, f"1{sep}0", BinVector.from_bits([1, 0])),
+        (cols_int, f"k=2{sep}3\n1\n", ("expected header of the form k=K", 1, 1)),
+        (dense, f"11{sep}0x", ("invalid character 'x'", 1, 5)),
+        (dense, f"01\n11{sep}0x\n", ("invalid character 'x'", 2, 5)),
+        (parse_vector, f"1{sep}0x", ("invalid character 'x' in vector", 1, 4)),
+        (json_, f'{{"rows": 1,{sep}"cols": 1}}', ("invalid JSON: Expecting property name enclosed in double quotes", 1, 12)),
+    ):
+        assert _outcome(parse, text) == expected, repr(text)
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["CRLF", "CR"])
+def test_cr_lf_and_lone_cr_end_a_line_as_lf(newline):
+    """Every format, and a vector, reads CR LF and a lone CR as LF: the same
+    matrix, or the same error at the same line and column."""
+    for parse, text in (
+        (dense, "10\n\n01\n"),
+        (dense, "1 0\n0 1\n0x\n"),
+        (dense, "10\n011\n"),
+        (cols_int, "\nk=2\n1\n2\n"),
+        (cols_int, "k=2\n1\n 7\n"),
+        (json_, '{"rows": 1,\n"cols": 2,\n"data": ["01"]}\n'),
+        (json_, '{"rows": 1,\n"cols": x}'),
+        (parse_vector, "1\n0\n1"),
+        (parse_vector, "1\n\n 0x"),
+    ):
+        assert _outcome(parse, text.replace("\n", newline)) == _outcome(parse, text), repr(text)
 
 
 def test_cols_int_header_limit():
