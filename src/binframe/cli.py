@@ -122,8 +122,8 @@ def _argparse(argv: list[str]) -> SimpleNamespace:
 
 
 def _load_matrix(path: str, fmt: str) -> BinMatrix:
-    """The matrix in file ``path``.  Bytes that are not UTF-8 are a
-    ParseError at the first of them, by line and byte column."""
+    """The matrix in file ``path``, less one leading byte-order mark.  Bytes
+    that are not UTF-8 are a ParseError at the first of them, by line and byte column."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -132,7 +132,7 @@ def _load_matrix(path: str, fmt: str) -> BinMatrix:
         lines = (data[: e.start] + b"?").splitlines()
         message = f"byte 0x{data[e.start]:02x} is not valid UTF-8"
         raise ParseError(message, line=len(lines), column=len(lines[-1])) from None
-    return parse_matrix(text, fmt)
+    return parse_matrix(text.removeprefix("\ufeff"), fmt)
 
 
 def _say(message: str) -> None:

@@ -204,13 +204,9 @@ class BinMatrix(_Record):
     @classmethod
     def circulant(cls, first_row: BinVector) -> "BinMatrix":
         """Circulant matrix C with C[i][j] = first_row[(j - i) mod k]."""
-        k = first_row.n
-        c = first_row.bits
-        rows = []
-        for i in range(k):
-            # cyclic right-rotation of the first row by i positions
-            rows.append(((c << i) | (c >> (k - i))) & ((1 << k) - 1) if i else c)
-        return cls(k, tuple(rows))
+        k, c = first_row.n, first_row.bits
+        # row i is the first row cyclically rotated right by i positions
+        return cls(k, tuple(((c << i) | (c >> (k - i))) & ((1 << k) - 1) for i in range(k)))
 
     # -- basic accessors ---------------------------------------------------
 
@@ -281,7 +277,7 @@ class BinMatrix(_Record):
         return self.is_square and self.data == self.transpose().data
 
     def rank(self) -> int:
-        return len(Echelon(self.data))
+        return len(_echelon(self.data))
 
     def to_bitstring_rows(self) -> list[str]:
         fmt = f"0{self.cols}b"
@@ -331,92 +327,86 @@ class AffineSolutionSet(_Record):
             yield current
 
 
-class Echelon:
-    """A GF(2) row space in fully reduced row-echelon form.
+def _echelon(rows: Iterable[int]) -> list[int]:
+    """The GF(2) row space of ``rows`` in fully reduced row-echelon form.
 
-    Rows are ints.  Each stored row's pivot is its lowest set bit, and no
-    other stored row has that bit set.  This form is unique for a given
-    row space, so what is read off it depends neither on the order of the
-    rows nor on the order of the elimination steps.
+    Rows are ints.  Each returned row's pivot is its lowest set bit, and
+    no other returned row has that bit set.  This form is unique for a
+    given row space, so what is read off it depends neither on the order
+    of the rows nor on the order of the elimination steps.
     """
+    # Gauss-Jordan elimination 8 columns at a time, the Four Russians
+    # method of ``@`` (Albrecht, Bard and Hart, ACM TOMS 37(1), 2010).
+    # Pending rows are zero below column c.  The block's pivot rows come
+    # from the distinct 8-bit projections of the pending rows, and a
+    # table of all 256 sums of them clears the block's pivot columns
+    # from every other row.  That leaves the pending rows zero up to
+    # column c + 8, as the pivot rows span their projections; a pending
+    # row that became a pivot row clears to 0.
+    pending = [r for r in rows if r]
+    stored: list[int] = []
+    c = 0
+    while pending:
+        projections = [(r >> c) & 255 for r in pending]
+        # each distinct projection with the first row that has it
+        found = dict(zip(reversed(projections), range(len(pending) - 1, -1, -1)))
+        block: dict[int, tuple[int, int]] = {}  # pivot bit -> (projection, row)
+        for p, i in found.items():
+            # block rows are reduced, so bit b of p says whether to add row b
+            q = p
+            for b, (bp, _) in block.items():
+                if p & b:
+                    q ^= bp
+            if not q:
+                continue
+            row = pending[i]
+            for b, (_, br) in block.items():
+                if p & b:
+                    row ^= br
+            low = q & -q
+            for b, (bp, br) in block.items():
+                if bp & low:
+                    block[b] = (bp ^ q, br ^ row)
+            block[low] = (q, row)
+            if len(block) == 8:
+                break
+        if block:
+            table = [0]
+            for bit in (1, 2, 4, 8, 16, 32, 64, 128):
+                table += [t ^ block[bit][1] for t in table] if bit in block else table
+            pending = [x for r in pending if (x := r ^ table[(r >> c) & 255])]
+            stored = [r ^ table[(r >> c) & 255] for r in stored]
+            stored += [row for _, row in block.values()]
+        c += 8
+    return stored
 
-    __slots__ = ("_rows", "_pivots")
 
-    def __init__(self, rows: Iterable[int] = ()):
-        # Gauss-Jordan elimination 8 columns at a time, the Four Russians
-        # method of ``@`` (Albrecht, Bard and Hart, ACM TOMS 37(1), 2010).
-        # Pending rows are zero below column c.  The block's pivot rows come
-        # from the distinct 8-bit projections of the pending rows, and a
-        # table of all 256 sums of them clears the block's pivot columns
-        # from every other row.  That leaves the pending rows zero up to
-        # column c + 8, as the pivot rows span their projections; a pending
-        # row that became a pivot row clears to 0.
-        pending = [r for r in rows if r]
-        stored: list[int] = []
-        c = 0
-        while pending:
-            projections = [(r >> c) & 255 for r in pending]
-            # each distinct projection with the first row that has it
-            found = dict(zip(reversed(projections), range(len(pending) - 1, -1, -1)))
-            block: dict[int, tuple[int, int]] = {}  # pivot bit -> (projection, row)
-            for p, i in found.items():
-                # block rows are reduced, so bit b of p says whether to add row b
-                q = p
-                for b, (bp, _) in block.items():
-                    if p & b:
-                        q ^= bp
-                if not q:
-                    continue
-                row = pending[i]
-                for b, (_, br) in block.items():
-                    if p & b:
-                        row ^= br
-                low = q & -q
-                for b, (bp, br) in block.items():
-                    if bp & low:
-                        block[b] = (bp ^ q, br ^ row)
-                block[low] = (q, row)
-                if len(block) == 8:
-                    break
-            if block:
-                table = [0]
-                for bit in (1, 2, 4, 8, 16, 32, 64, 128):
-                    table += [t ^ block[bit][1] for t in table] if bit in block else table
-                pending = [x for r in pending if (x := r ^ table[(r >> c) & 255])]
-                stored = [r ^ table[(r >> c) & 255] for r in stored]
-                stored += [row for _, row in block.values()]
-            c += 8
-        self._rows = stored
-        self._pivots = sum(r & -r for r in stored)
+def _solutions(rows: Iterable[int], cols: int) -> tuple[int | None, list[int]]:
+    """Solutions of the system whose equations are ``rows``, with bits
+    below ``cols`` as coefficients and bit ``cols`` as the right-hand
+    side, as ints: ``(particular, null basis)``, or ``(None, [])`` when a
+    pivot at bit ``cols`` or above makes it inconsistent.
 
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def reduced_solutions(self, cols: int) -> tuple[int, list[int]] | None:
-        """Solutions of the system whose equations are the stored rows,
-        with bits below ``cols`` as coefficients and bit ``cols`` as the
-        right-hand side, as ints: ``(particular, null basis)``, or None
-        when a pivot at bit ``cols`` or above makes it inconsistent.
-
-        The particular solution is 0 in every free column.  The null
-        basis has one vector per free column f, in ascending column
-        order; vector f is 1 in column f and 0 in the other free columns.
-        Both are read off the columns of the rows placed by pivot.
-        """
-        if self._pivots >> cols:
-            return None
-        by_pivot = [0] * cols
-        for r in self._rows:
-            by_pivot[(r & -r).bit_length() - 1] = r
-        columns = _columns(by_pivot, cols + 1)
-        free = [f for f in range(cols) if not (self._pivots >> f) & 1]
-        return columns[cols], [(1 << f) | columns[f] for f in free]
+    The particular solution is 0 in every free column.  The null basis
+    has one vector per free column f, in ascending column order; vector
+    f is 1 in column f and 0 in the other free columns.  Both are read
+    off the columns of the reduced rows placed by pivot.
+    """
+    reduced = _echelon(rows)
+    pivots = sum(r & -r for r in reduced)
+    if pivots >> cols:
+        return None, []
+    by_pivot = [0] * cols
+    for r in reduced:
+        by_pivot[(r & -r).bit_length() - 1] = r
+    columns = _columns(by_pivot, cols + 1)
+    free = [f for f in range(cols) if not (pivots >> f) & 1]
+    return columns[cols], [(1 << f) | columns[f] for f in free]
 
 
 def _impose(part: int | None, nulls: list[int], x: int) -> tuple[int | None, list[int]]:
-    """A solution set ``(part, nulls)`` in the form ``reduced_solutions``
-    gives, cut down by the equation (x, y) = 0, in the same form; part
-    None is the empty set.
+    """A solution set ``(part, nulls)`` in the form ``_solutions`` gives,
+    cut down by the equation (x, y) = 0, in the same form.
 
     With a_f = (x, n_f), the lowest free column f* with a_f = 1 becomes a
     pivot: n_f* leaves the basis, every other n_f with a_f = 1 and, when
@@ -450,6 +440,6 @@ def solve(a: BinMatrix, b: BinVector) -> AffineSolutionSet:
         )
     cols = a.cols
     rows = (r | (((b.bits >> i) & 1) << cols) for i, r in enumerate(a.data))
-    part, nulls = Echelon(rows).reduced_solutions(cols) or (None, [])
+    part, nulls = _solutions(rows, cols)
     particular = None if part is None else BinVector(cols, part)
     return AffineSolutionSet(cols, particular, tuple(BinVector(cols, v) for v in nulls))

@@ -17,7 +17,7 @@ from collections.abc import Sequence
 
 from .errors import DimensionError, ExtensionObstruction, InvalidInput
 from .frames import is_parseval
-from .gf2 import BinMatrix, BinVector, Echelon, _impose, _Record
+from .gf2 import BinMatrix, BinVector, _impose, _Record, _solutions
 
 __all__ = [
     "OrthonormalSequence",
@@ -95,20 +95,18 @@ def _orthonormal_fill(k: int, constraints: Sequence[int], start: Sequence[int], 
     unique, like the reduced echelon form, so this picks the vectors that
     solving each system afresh would.
     """
-    system = Echelon([*constraints, ((1 << k) - 1) | (1 << k), *start])
-    part, nulls = system.reduced_solutions(k) or (None, [])
+    part, nulls = _solutions([*constraints, ((1 << k) - 1) | (1 << k), *start], k)
     found = list(start)
     n = len(found) + (part is not None) + len(nulls)
     total = 0
     for v in found:
         total ^= v
     for s in range(len(found), n):
-        # the first two Gray-code members; only one can hit the target
-        for x in (part, part ^ nulls[0]) if nulls else () if part is None else (part,):
-            if s > n - 2 or total ^ x != target:
-                break
-        else:
+        if part is None:
             raise RuntimeError(f"no admissible vector {s + 1} of {n} in GF(2)^{k}")
+        # the first Gray-code member, or the second (nulls holds n - s - 1
+        # vectors) when the first would make the running sum the target
+        x = part if s == n - 1 or total ^ part != target else part ^ nulls[0]
         found.append(x)
         part, nulls = _impose(part, nulls, x)
         total ^= x

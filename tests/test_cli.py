@@ -708,6 +708,49 @@ def test_bytes_that_are_not_utf8_are_a_parse_error(data, where, byte, write, tmp
     assert Path(target).read_bytes() == b"kept\n"
 
 
+BOM = b"\xef\xbb\xbf"
+
+
+@pytest.mark.parametrize(
+    "fmt, text",
+    [
+        ("dense", b"10\n01\n"),
+        ("cols-int", b"k=2\n1 2\n"),
+        ("json", b'{"rows": 2, "cols": 2, "data": ["10", "01"]}\n'),
+    ],
+    ids=["dense", "cols-int", "json"],
+)
+@pytest.mark.parametrize("command", [["check", "parseval"], ["gram"]], ids=["check", "gram"])
+def test_a_leading_byte_order_mark_is_skipped(fmt, text, command, tmp_path, capsys):
+    """A file that starts with the UTF-8 byte-order mark answers as the
+    same file without it, in every format."""
+    answers = []
+    for name, data in (("plain.txt", text), ("marked.txt", BOM + text)):
+        path = tmp_path / name
+        path.write_bytes(data)
+        answers.append((run([*command, str(path), "--format", fmt]), capsys.readouterr()))
+    assert answers[0] == answers[1]
+    assert answers[0][0] == 0 and answers[0][1].err == ""
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        # decode errors count raw bytes, the mark's three included
+        (BOM + b"\xff", "line 1, column 4: byte 0xff is not valid UTF-8"),
+        # only one leading mark is skipped; any other is a character
+        (b"10\n" + BOM + b"01\n", "line 2, column 1: invalid character '\\ufeff'"),
+        (BOM + BOM + b"10\n01\n", "line 1, column 1: invalid character '\\ufeff'"),
+    ],
+    ids=["bad-byte-after-mark", "mark-on-line-2", "second-leading-mark"],
+)
+def test_byte_order_mark_error_positions(data, message, tmp_path, capsys):
+    path = tmp_path / "m.txt"
+    path.write_bytes(data)
+    assert run(["check", "parseval", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"binframe: parse error at {message}\n")
+
+
 @pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
 def test_cr_line_breaks_read_as_lf(newline, tmp_path, capsys):
     """CR LF and a lone CR end a line as LF does, in the positions JSON

@@ -13,7 +13,7 @@ from binframe import (
     DimensionError,
     solve,
 )
-from binframe.gf2 import Echelon, _impose
+from binframe.gf2 import _echelon, _impose, _solutions
 from oracles import gauss_jordan_solve, incremental_echelon, int_product_rows, matrix_rows_of_columns
 
 
@@ -389,15 +389,15 @@ def test_imposing_an_equation_equals_adding_its_row(system, data):
     solution and null basis, empty when the cut leaves nothing."""
     rows, cols = system
     x = data.draw(st.integers(0, (1 << cols) - 1))
-    part, nulls = Echelon(rows).reduced_solutions(cols) or (None, [])
-    assert _impose(part, nulls, x) == (Echelon(rows + [x]).reduced_solutions(cols) or (None, []))
+    part, nulls = _solutions(rows, cols)
+    assert _impose(part, nulls, x) == _solutions(rows + [x], cols)
 
 
 # -- the blocked echelon build against the row-by-row one ---------------------
 
 
 def _echelon_rows(rows):
-    return sorted(Echelon(rows)._rows, key=lambda r: r & -r)
+    return sorted(_echelon(rows), key=lambda r: r & -r)
 
 
 @st.composite
@@ -426,15 +426,14 @@ def test_blocked_echelon_matches_row_by_row_build(system):
     set off them."""
     rows, cols = system
     expected = incremental_echelon(rows)
-    echelon = Echelon(rows)
     assert _echelon_rows(rows) == expected
-    assert len(echelon) == len(expected)
+    assert len(_echelon(rows)) == len(expected)
     pivots = sum(r & -r for r in expected)
     if pivots >> cols:
-        assert echelon.reduced_solutions(cols) is None
+        assert _solutions(rows, cols) == (None, [])
     else:
         particular, basis, _ = gauss_jordan_solve([r & ((1 << cols) - 1) for r in rows], cols, [(r >> cols) & 1 for r in rows])
-        assert echelon.reduced_solutions(cols) == (particular, basis)
+        assert _solutions(rows, cols) == (particular, basis)
 
 
 @pytest.mark.parametrize("k", [1024, 2048])

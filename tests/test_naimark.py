@@ -342,6 +342,38 @@ def test_fill_matches_incremental_reference(k, rng, data):
     assert _orthonormal_fill(k, constraints, start, target) == expected
 
 
+def _fill_or_refusal(fill, *args):
+    try:
+        return fill(*args)
+    except RuntimeError as e:
+        return str(e)
+
+
+def test_fill_matches_incremental_reference_exhaustively_at_small_k():
+    """Every k <= 5, every target and every start of at most two
+    orthonormal vectors that is a basis or sums to other than all-ones:
+    the fill picks the vectors of the incremental echelon, or both refuse
+    with the same message."""
+    cases = refusals = 0
+    for k in range(1, 6):
+        ones = (1 << k) - 1
+        for n in range(3):
+            for start in all_orthonormal_sets(k, n):
+                total = 0
+                for v in start:
+                    total ^= v
+                if total == ones and n < k:
+                    continue
+                for target in range(1 << k):
+                    got = _fill_or_refusal(_orthonormal_fill, k, [], list(start), target)
+                    expected = _fill_or_refusal(reference_incremental_fill, k, [], list(start), k, target)
+                    assert got == expected, (k, start, target)
+                    cases += 1
+                    refusals += isinstance(got, str)
+    assert (cases, refusals) == (2844, 995)
+    assert _fill_or_refusal(_orthonormal_fill, 4, [], [7], 0) == "no admissible vector 3 of 4 in GF(2)^4"
+
+
 def test_complement_and_extension_match_incremental_reference_at_k1024():
     """At k = 1024 the complement of a random Parseval frame and the
     extension of its columns' prefix are the vectors of the incremental
