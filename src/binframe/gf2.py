@@ -347,29 +347,23 @@ def _echelon(rows: Iterable[int]) -> list[int]:
     stored: list[int] = []
     c = 0
     while pending:
-        projections = [(r >> c) & 255 for r in pending]
         # each distinct projection with the first row that has it
-        found = dict(zip(reversed(projections), range(len(pending) - 1, -1, -1)))
+        first = dict(zip([(r >> c) & 255 for r in reversed(pending)], reversed(pending)))
         block: dict[int, tuple[int, int]] = {}  # pivot bit -> (projection, row)
-        for p, i in found.items():
-            # block rows are reduced, so bit b of p says whether to add row b
-            q = p
-            for b, (bp, _) in block.items():
-                if p & b:
-                    q ^= bp
-            if not q:
-                continue
-            row = pending[i]
-            for b, (_, br) in block.items():
-                if p & b:
-                    row ^= br
-            low = q & -q
+        for p, row in first.items():
+            # block rows are reduced, so adding row b clears pivot bit b alone
             for b, (bp, br) in block.items():
-                if bp & low:
-                    block[b] = (bp ^ q, br ^ row)
-            block[low] = (q, row)
-            if len(block) == 8:
-                break
+                if p & b:
+                    p ^= bp
+                    row ^= br
+            if p:
+                low = p & -p
+                for b, (bp, br) in block.items():
+                    if bp & low:
+                        block[b] = (bp ^ p, br ^ row)
+                block[low] = (p, row)
+                if len(block) == 8:
+                    break
         if block:
             table = [0]
             for bit in (1, 2, 4, 8, 16, 32, 64, 128):

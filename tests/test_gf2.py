@@ -445,3 +445,46 @@ def test_blocked_echelon_matches_row_by_row_build_at_scale(k):
     rows = half + [a ^ b for a, b in zip(half, half[1:])] + [0]
     rng.shuffle(rows)
     assert _echelon_rows(rows) == incremental_echelon(rows)
+
+
+def _window_rank_7(k):
+    """max(k, 128) rows of k bits in which bit 7 of every byte equals bit
+    6, so each 8-bit window has rank 7 and the 8-pivot stop never fires;
+    the first window holds all 128 such projections, most of which reduce
+    to 0 after some additions."""
+    rng = random.Random(k)
+    six = int.from_bytes(b"\x40" * (k // 8), "little")
+    rows = []
+    for i in range(max(k, 128)):
+        r = rng.getrandbits(k) & ~127 | i % 128
+        rows.append(r & ~(six << 1) | (r & six) << 1)
+    return rows
+
+
+def _zero_below_64(k):
+    rng = random.Random(k)
+    return [rng.getrandbits(k - 64) << 64 for _ in range(k)] + [0] * 3
+
+
+def _repeated(k):
+    rng = random.Random(k)
+    rows = [rng.getrandbits(k) for _ in range(k // 3)] * 3
+    rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize(
+    "rows,rank",
+    [
+        pytest.param(_window_rank_7(64), 56, id="window-rank-7-k64"),
+        pytest.param(_window_rank_7(1024), 896, id="window-rank-7-k1024"),
+        # the first eight windows are empty and skipped
+        pytest.param(_zero_below_64(200), 136, id="zero-below-64"),
+        pytest.param(_repeated(120), 40, id="repeated"),
+        pytest.param([1 << i for i in range(300)][::-1], 300, id="identity"),
+        pytest.param([(1 << 77) - 1] * 50, 1, id="all-ones"),
+    ],
+)
+def test_blocked_echelon_matches_row_by_row_build_on_fixed_inputs(rows, rank):
+    expected = incremental_echelon(rows)
+    assert _echelon_rows(rows) == expected and len(expected) == rank

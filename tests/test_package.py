@@ -1,5 +1,5 @@
-"""The package surface: the public names, the README's library example
-and the Python version the sources need."""
+"""The package surface: the public names, the README's library example,
+the Python version the sources need and CI's console-script step."""
 
 import ast
 import contextlib
@@ -7,11 +7,14 @@ import importlib.util
 import io
 import os
 import re
+import shutil
 import subprocess
 import sys
 import types
 import typing
 from pathlib import Path
+
+import pytest
 
 import binframe
 from binframe import catalog, cli, equiv, errors, formats, frames, gf2, gramfactor, naimark
@@ -206,3 +209,32 @@ def test_bench_tracer_runs_every_hook(tmp_path, capsys):
     assert {span[0] for span in spans} == {name for name, *_ in tracing._functions(binframe)}
     metrics = tracing.summarize(spans, yielded)
     assert metrics["catalog.entries"] > 0 and metrics["gf2.solutions.yielded"] == 1
+
+
+@pytest.mark.skipif(shutil.which("bash") is None, reason="the CI step is a bash script")
+def test_ci_console_script_step_runs(tmp_path):
+    """The workflow's "Installed binframe command" step, run here with
+    ``binframe`` as a shell function over ``python -m binframe.cli`` in
+    place of the installed command, under the shell options GitHub
+    Actions gives a bash ``run`` step: every line of it must succeed."""
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8").splitlines()
+    start = workflow.index("      - name: Installed binframe command") + 1
+    assert workflow[start].strip() == "run: |"
+    step = []
+    for line in workflow[start + 1 :]:
+        if line.strip() and not line.startswith(" " * 10):
+            break
+        step.append(line[10:])
+    assert step[0] == "python -m pip install ." and len(step) > 20
+    script = tmp_path / "step.sh"
+    script.write_text(f'binframe() {{ "{sys.executable}" -m binframe.cli "$@"; }}\n' + "\n".join(step[1:]) + "\n")
+    env = {
+        **os.environ,
+        "PATH": os.pathsep.join([str(Path(sys.executable).parent), os.environ.get("PATH", "")]),
+        "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])),
+    }
+    proc = subprocess.run(
+        ["bash", "--noprofile", "--norc", "-eo", "pipefail", str(script)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
