@@ -3,7 +3,7 @@ factorization and exhaustive catalogs."""
 
 import sys
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 # The public names load on first use (PEP 562), so ``import binframe.cli``
 # loads only the modules its command needs.  Each name is listed once, in

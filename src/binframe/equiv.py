@@ -282,7 +282,7 @@ def switching_equivalent(f: Frame, g: Frame) -> bool:
     below the diagonal, fixes its canonical matrix.
     """
     gf, gg = gram(f.analysis), gram(g.analysis)
-    if f.n != g.n or _weight_profiles(gf) != _weight_profiles(gg):
+    if f.analysis.cols != g.analysis.cols or _weight_profiles(gf) != _weight_profiles(gg):
         return False
     budget = [SEARCH_BUDGET]
-    return _search(list(gf.data), [(1 << f.k) - 1], budget)[0] == _search(list(gg.data), [(1 << g.k) - 1], budget)[0]
+    return _search(list(gf.data), [(1 << gf.rows) - 1], budget)[0] == _search(list(gg.data), [(1 << gg.rows) - 1], budget)[0]

@@ -7,8 +7,8 @@ Three interchangeable formats, all round-tripping bit-exactly:
 * ``cols-int`` - a ``k=K`` header (K at most ``COLS_INT_MAX_K``)
   followed by space-separated column integers; a column vector
   (x_1, ..., x_k) encodes as ``sum(x_i * 2**(i-1))``, so (1,0,1,1) is 13.
-* ``json`` - an object with ``rows``, ``cols`` and ``data`` (a list of
-  row bit-strings as in the dense format).
+* ``json`` - an object with ``rows``, ``cols`` and ``data``, a list of
+  row strings of exactly ``cols`` 0/1 characters each, with no whitespace.
 """
 
 from .errors import ParseError, UnsupportedSize
@@ -28,6 +28,7 @@ FORMATS = ("dense", "cols-int", "json")
 # 2**k - 1, has at most 4300 decimal digits, the default limit on int-string
 # conversions since CPython 3.10.7 and 3.11.
 COLS_INT_MAX_K = 14284
+_NOT_BITS = str.maketrans("", "", "01")  # a row is 0/1 iff translate leaves it empty
 
 
 def json_line(doc) -> str:
@@ -63,7 +64,7 @@ def _bit_lines(text: str, what: str = ""):
     its line and column, ``what`` ending the message."""
     for lineno, line in enumerate(_as_lf(text).split("\n"), start=1):
         entries = "".join(line.split())
-        if entries.strip("01"):
+        if entries.translate(_NOT_BITS):
             # only a bad line is walked character by character, for the column
             col = next(col for col, ch in enumerate(line, start=1) if ch not in "01" and not ch.isspace())
             raise ParseError(f"invalid character {line[col - 1]!r}{what}", line=lineno, column=col)
@@ -159,12 +160,10 @@ def _parse_json(text: str) -> BinMatrix:
         raise ParseError("rows and cols must be positive integers")
     if not isinstance(data, list) or len(data) != rows:
         raise ParseError(f"data must list exactly {rows} row strings")
-    packed = []
     for i, rowstr in enumerate(data):
-        if not isinstance(rowstr, str) or len(rowstr) != cols or set(rowstr) - {"0", "1"}:
+        if not isinstance(rowstr, str) or len(rowstr) != cols or rowstr.translate(_NOT_BITS):
             raise ParseError(f"row {i} must be a string of {cols} 0/1 characters")
-        packed.append(_bits(rowstr))
-    return BinMatrix(cols, tuple(packed))
+    return BinMatrix(cols, tuple(map(_bits, data)))
 
 
 def parse_matrix(text: str, fmt: str = "dense") -> BinMatrix:

@@ -39,22 +39,6 @@ class Frame(_Record):
     def from_vectors(cls, vectors: Iterable[BinVector | Iterable[int]]) -> "Frame":
         return cls(BinMatrix.from_rows(vectors))
 
-    @property
-    def vectors(self) -> tuple[BinVector, ...]:
-        return self.analysis.row_vectors()
-
-    @property
-    def k(self) -> int:
-        return self.analysis.rows
-
-    @property
-    def n(self) -> int:
-        return self.analysis.cols
-
-    @property
-    def synthesis(self) -> BinMatrix:
-        return self.analysis.transpose()
-
 
 def is_parseval(theta: BinMatrix) -> bool:
     """True iff ``theta* theta = I``, i.e. the columns are orthonormal."""
@@ -68,14 +52,15 @@ def reconstruct(x: BinVector, f: Frame) -> BinVector:
     raw sum is still returned for non-Parseval frames so that failures of
     the identity can be witnessed.
     """
-    if x.n != f.n:
-        raise DimensionError(f"x has dimension {x.n}, frame lives in GF(2)^{f.n}")
+    n = f.analysis.cols
+    if x.n != n:
+        raise DimensionError(f"x has dimension {x.n}, frame lives in GF(2)^{n}")
     acc = 0
     xb = x.bits
     for v in f.analysis.data:
         if (v & xb).bit_count() & 1:
             acc ^= v
-    return BinVector(f.n, acc)
+    return BinVector(n, acc)
 
 
 def gram(theta: BinMatrix) -> BinMatrix:

@@ -287,7 +287,7 @@ def test_criterion_6_reconstruction_identity():
             theta = _random_parseval(rng)
             assert is_parseval(theta)
             frame = Frame(theta)
-            n = frame.n
+            n = theta.cols
             for x in range(1 << n):
                 v = BinVector(n, x)
                 if reconstruct(v, frame) != v:

@@ -129,6 +129,8 @@ def test_json_field_validation():
         parse_matrix(json.dumps({"rows": 2, "cols": 2, "data": ["11"]}), "json")
     with pytest.raises(ParseError):
         parse_matrix(json.dumps({"rows": 1, "cols": 2, "data": ["12"]}), "json")
+    with pytest.raises(ParseError, match="^row 0 must be a string of 3 0/1 characters$"):  # no whitespace, unlike dense
+        parse_matrix(json.dumps({"rows": 1, "cols": 3, "data": ["1 0"]}), "json")
     for rows, cols in ((True, 1), (1, True)):  # bool is an int subclass
         with pytest.raises(ParseError):
             parse_matrix(json.dumps({"rows": rows, "cols": cols, "data": ["1"]}), "json")
@@ -297,7 +299,7 @@ def _old_dense_error(text):
 def test_invalid_character_deep_in_wide_rows():
     rng = random.Random(401)
     rows = ["".join(rng.choice("01") for _ in range(1024)) for _ in range(4)]
-    for bad, where in (("x", 1000), ("2", 1023), ("١", 517), ("_", 3), ("+", 0)):
+    for bad, where in (("x", 1000), ("2", 1023), ("١", 517), ("_", 3), ("+", 0), ("-", 8), ("１", 1021)):
         spaced = [" ".join(r) for r in rows]  # whitespace between entries shifts the column
         spaced[2] = spaced[2][: 2 * where] + bad + spaced[2][2 * where + 1 :]
         for text in ("\n".join(rows[:2] + [rows[2][:where] + bad + rows[2][where + 1 :]] + rows[3:]), "\n\n".join(spaced)):
