@@ -339,7 +339,7 @@ _REQUIRED = object()
 _COMMON = {
     "format": (FORMATS, "dense", "wire format for matrix input and output"),
     "output": ("PATH", None, "write results to PATH instead of stdout"),
-    "quiet": (None, False, "suppress yes/no answer lines; exit codes still carry them"),
+    "quiet": (None, False, "suppress yes/no answer lines and a no's reason on stderr; JSON and exit codes are unchanged"),
 }
 
 _COMMANDS = {

@@ -59,8 +59,8 @@ class CanonicalMatrix(_Record):
 
 def _permuted(a: BinMatrix, row_perm: Sequence[int], col_perm: Sequence[int]) -> BinMatrix:
     """The matrix whose entry (i, j) is entry (row_perm[i], col_perm[j]) of ``a``."""
-    columns = BinMatrix(a.cols, tuple(a.data[i] for i in row_perm)).transpose().data
-    return BinMatrix(len(row_perm), tuple(columns[j] for j in col_perm)).transpose()
+    columns = BinMatrix(a.cols, (a.data[i] for i in row_perm)).transpose().data
+    return BinMatrix(len(row_perm), (columns[j] for j in col_perm)).transpose()
 
 
 # automorphisms as (image of each index, mask of the indices moved)
@@ -236,7 +236,7 @@ def _canon_independent(a: BinMatrix, budget: list[int]) -> CanonicalMatrix:
     rows = _permuted(a, range(a.rows), col_perm)
     text = rows.to_bitstring_rows()
     row_perm = tuple(sorted(range(a.rows), key=text.__getitem__))
-    return CanonicalMatrix(BinMatrix(a.cols, tuple(rows.data[i] for i in row_perm)), row_perm, col_perm)
+    return CanonicalMatrix(BinMatrix(a.cols, (rows.data[i] for i in row_perm)), row_perm, col_perm)
 
 
 def canonical_form(a: BinMatrix, mode: str = MODE_INDEPENDENT) -> CanonicalMatrix:

@@ -89,7 +89,7 @@ def _parse_dense(text: str) -> BinMatrix:
         rows.append(_bits(entries))
     if not rows:
         raise ParseError("no matrix rows found", line=1, column=1)
-    return BinMatrix(width, tuple(rows))
+    return BinMatrix(width, rows)
 
 
 def _parse_cols_int(text: str) -> BinMatrix:
@@ -136,7 +136,7 @@ def _parse_cols_int(text: str) -> BinMatrix:
         raise ParseError("expected header of the form k=K", line=1, column=1)
     if not values:
         raise ParseError("no column integers found", line=header_line, column=1)
-    return BinMatrix(k, tuple(values)).transpose()
+    return BinMatrix(k, values).transpose()
 
 
 def _parse_json(text: str) -> BinMatrix:
@@ -163,7 +163,7 @@ def _parse_json(text: str) -> BinMatrix:
     for i, rowstr in enumerate(data):
         if not isinstance(rowstr, str) or len(rowstr) != cols or rowstr.translate(_NOT_BITS):
             raise ParseError(f"row {i} must be a string of {cols} 0/1 characters")
-    return BinMatrix(cols, tuple(map(_bits, data)))
+    return BinMatrix(cols, map(_bits, data))
 
 
 def parse_matrix(text: str, fmt: str = "dense") -> BinMatrix:

@@ -8,6 +8,10 @@ share between threads.
 The integer value of a vector doubles as its catalog encoding: the vector
 ``(x_1, ..., x_k)`` corresponds to ``sum(x_i * 2**(i-1))``, e.g.
 ``(1,0,1,1) <-> 13``.
+
+The orthonormal-sequence construction that extension, Naimark
+complements and Gram factorization share, ``_orthonormal_fill``, lives
+here beside the solution sets it reads and cuts down.
 """
 
 from operator import attrgetter
@@ -27,13 +31,14 @@ class _Record:
     """Base of the immutable records.  The fields are the subclass's
     ``__slots__``; ``__init__`` binds positional, then keyword arguments
     to them (``TypeError`` for a missing, unexpected or repeated field),
-    sets each once and then calls ``__post_init__``, where a subclass
-    puts its checks.  ``BinVector`` and ``BinMatrix`` keep constructors
-    of their own, since they are built by the thousand in the catalog
-    and construct loops and the binder costs ~0.7 us per call.  Equality
-    needs the exact class and equal fields, the hash is that of the
-    fields, and the repr reads ``Name(field=value, ...)``.  Copy and
-    pickle rebuild through ``__init__``, so they repeat the checks."""
+    sets each once, a list as a tuple, and then calls ``__post_init__``,
+    where a subclass puts its checks.  ``BinVector`` and ``BinMatrix``
+    keep constructors of their own, since they are built by the thousand
+    in the catalog and construct loops and the binder costs ~0.7 us per
+    call.  Equality needs the exact class and equal fields, the hash is
+    that of the fields, and the repr reads ``Name(field=value, ...)``.
+    Copy and pickle rebuild through ``__init__``, so they repeat the
+    checks."""
 
     __slots__ = ()
 
@@ -46,7 +51,7 @@ class _Record:
         if kwargs or len(args) != len(names):
             args = self._bind(args, kwargs)
         for name, value in zip(names, args):
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, tuple(value) if isinstance(value, list) else value)
         self.__post_init__()
 
     def _bind(self, args, kwargs):
@@ -163,7 +168,9 @@ class BinMatrix(_Record):
 
     __slots__ = ("cols", "data")
 
-    def __init__(self, cols: int, data: tuple[int, ...]):
+    def __init__(self, cols: int, data: Iterable[int]):
+        # a list is copied, so it hashes and stays as checked; tuple(t) is t
+        data = tuple(data)
         if cols < 1:
             raise DimensionError(f"column count must be positive, got {cols}")
         if len(data) < 1:
@@ -185,7 +192,7 @@ class BinMatrix(_Record):
         for i, v in enumerate(vecs):
             if v.n != n:
                 raise DimensionError(f"vector {i} has dimension {v.n}, expected {n}")
-        return cls(n, tuple(v.bits for v in vecs))
+        return cls(n, (v.bits for v in vecs))
 
     @classmethod
     def from_cols(cls, columns: Iterable[BinVector | Iterable[int]]) -> "BinMatrix":
@@ -193,7 +200,7 @@ class BinMatrix(_Record):
 
     @classmethod
     def identity(cls, n: int) -> "BinMatrix":
-        return cls(n, tuple(1 << i for i in range(n)))
+        return cls(n, (1 << i for i in range(n)))
 
     @classmethod
     def all_ones(cls, rows: int, cols: int) -> "BinMatrix":
@@ -206,7 +213,7 @@ class BinMatrix(_Record):
         """Circulant matrix C with C[i][j] = first_row[(j - i) mod k]."""
         k, c = first_row.n, first_row.bits
         # row i is the first row cyclically rotated right by i positions
-        return cls(k, tuple(((c << i) | (c >> (k - i))) & ((1 << k) - 1) for i in range(k)))
+        return cls(k, (((c << i) | (c >> (k - i))) & ((1 << k) - 1) for i in range(k)))
 
     # -- basic accessors ---------------------------------------------------
 
@@ -245,7 +252,7 @@ class BinMatrix(_Record):
     def __add__(self, other: "BinMatrix") -> "BinMatrix":
         if self.shape != other.shape:
             raise DimensionError(f"cannot add shapes {self.shape} and {other.shape}")
-        return BinMatrix(self.cols, tuple(a ^ b for a, b in zip(self.data, other.data)))
+        return BinMatrix(self.cols, (a ^ b for a, b in zip(self.data, other.data)))
 
     def __matmul__(self, other: "BinMatrix") -> "BinMatrix":
         if self.cols != other.rows:
@@ -263,7 +270,7 @@ class BinMatrix(_Record):
             for r in other.data[8 * g : 8 * g + 8]:
                 table += [t ^ r for t in table]
             out = [acc ^ table[row[g]] for acc, row in zip(out, left)]
-        return BinMatrix(other.cols, tuple(out))
+        return BinMatrix(other.cols, out)
 
     def mul_vec(self, v: BinVector) -> BinVector:
         if self.cols != v.n:
@@ -419,6 +426,41 @@ def _impose(part: int | None, nulls: list[int], x: int) -> tuple[int | None, lis
     if (x & part).bit_count() & 1:
         part ^= star
     return part, nulls[:i] + [v ^ star if (x & v).bit_count() & 1 else v for v in nulls[i + 1 :]]
+
+
+def _orthonormal_fill(k: int, constraints: Sequence[int], start: Sequence[int], target: int) -> list[int]:
+    """Extend the orthonormal vectors ``start`` in GF(2)^k by odd vectors,
+    each orthogonal to the others and to every row of ``constraints``,
+    until no further vector fits.
+
+    Each new vector is the first Gray-code-ordered solution of the stacked
+    system (constraints; vectors so far; all-ones row) x = (0; 0; 1),
+    except that while room remains (two or more vectors still to come) the
+    unique solution that makes the running sum equal ``target`` is
+    skipped: it alone would leave the next system inconsistent.  The
+    solution set is read off once, from one echelon of the constraints,
+    the all-ones row and ``start``; each vector x found then cuts it down
+    by the equation (x, y) = 0, which takes one dimension, and the last
+    vector takes the particular solution.  The reduced solution set is
+    unique, like the reduced echelon form, so this picks the vectors that
+    solving each system afresh would.
+    """
+    part, nulls = _solutions([*constraints, ((1 << k) - 1) | (1 << k), *start], k)
+    found = list(start)
+    n = len(found) + (part is not None) + len(nulls)
+    total = 0
+    for v in found:
+        total ^= v
+    for s in range(len(found), n):
+        if part is None:
+            raise RuntimeError(f"no admissible vector {s + 1} of {n} in GF(2)^{k}")
+        # the first Gray-code member, or the second (nulls holds n - s - 1
+        # vectors) when the first would make the running sum the target
+        x = part if s == n - 1 or total ^ part != target else part ^ nulls[0]
+        found.append(x)
+        part, nulls = _impose(part, nulls, x)
+        total ^= x
+    return found
 
 
 def solve(a: BinMatrix, b: BinVector) -> AffineSolutionSet:

@@ -6,15 +6,14 @@ non-zero diagonal entry).  When it is, ``factor_gram`` produces an
 analysis matrix theta with orthonormal columns and ``theta theta* = m``,
 built column by column: every column must be an odd vector fixed by m
 (equivalently, orthogonal to the kernel of m) and orthogonal to the
-columns found so far.  The columns come from the same orthonormal-sequence
-construction that extends sequences to bases (``naimark``), with the
-kernel of m as extra constraints.  Choices are pinned so the output is
-deterministic.
+columns found so far.  The columns come from the orthonormal-sequence
+construction that also extends sequences to bases
+(``gf2._orthonormal_fill``), with the kernel of m as extra constraints.
+Choices are pinned so the output is deterministic.
 """
 
 from .errors import InvalidInput, NotGramMatrix, ShapeError
-from .gf2 import BinMatrix, BinVector, _Record
-from .naimark import _orthonormal_fill
+from .gf2 import BinMatrix, BinVector, _orthonormal_fill, _Record
 
 __all__ = [
     "GramCandidate",
@@ -101,7 +100,7 @@ def factor_gram(cand: GramCandidate) -> Factorization:
     columns = _orthonormal_fill(k, (m + BinMatrix.identity(k)).data, start, target)
     n = len(columns)
 
-    theta_star = BinMatrix(k, tuple(columns))
+    theta_star = BinMatrix(k, columns)
     theta = theta_star.transpose()
     if theta_star @ theta != BinMatrix.identity(n) or theta @ theta_star != m:
         raise RuntimeError("factorization failed its check theta* theta = I, theta theta* = m")

@@ -1,23 +1,17 @@
 """Orthonormal extension and Naimark complements.
 
 An orthonormal sequence in GF(2)^k extends to an orthonormal basis exactly
-when its vector sum differs from the all-ones vector.  The extension is
-built one vector at a time by ``_orthonormal_fill``, the construction that
-also factors Gram matrices (``gramfactor``): each new vector solves the
-stacked system (constraints; vectors so far; all-ones row) x = (0; 0; 1).
-The solution set is read off once, as a particular solution and one null
-vector per free column, and each vector found cuts it down by one
-orthogonality equation instead of the system being solved again.  A
-Parseval frame has a complementary Parseval frame exactly when at least
-one frame vector is even, and the complement falls out of extending the
-analysis matrix's columns to an orthonormal basis.
+when its vector sum differs from the all-ones vector; the extension is
+built by ``gf2._orthonormal_fill``, the construction that also factors
+Gram matrices (``gramfactor``).  A Parseval frame has a complementary
+Parseval frame exactly when at least one frame vector is even, and the
+complement falls out of extending the analysis matrix's columns to an
+orthonormal basis.
 """
-
-from collections.abc import Sequence
 
 from .errors import DimensionError, ExtensionObstruction, InvalidInput
 from .frames import is_parseval
-from .gf2 import BinMatrix, BinVector, _impose, _Record, _solutions
+from .gf2 import BinMatrix, BinVector, _orthonormal_fill, _Record
 
 __all__ = [
     "OrthonormalSequence",
@@ -49,7 +43,7 @@ class OrthonormalSequence(_Record):
             # with the vectors as the rows of V, row i of V V* holds (v_i, v_j)
             # in bit j; the first defect is reported in the order i = 0, 1, ...:
             # (v_i, v_i), then (v_i, v_j) for j < i
-            vmat = BinMatrix(dim, tuple(v.bits for v in vecs))
+            vmat = BinMatrix(dim, (v.bits for v in vecs))
             for i, row in enumerate((vmat @ vmat.transpose()).data):
                 if not (row >> i) & 1:
                     raise InvalidInput(f"vector {i} is even, (v,v) = 0 != 1")
@@ -76,41 +70,6 @@ def is_extendable(seq: OrthonormalSequence) -> bool:
     if len(seq) >= seq.dim:
         raise InvalidInput(f"sequence of {len(seq)} vectors in GF(2)^{seq.dim} is already complete")
     return seq.vector_sum() != BinVector.ones(seq.dim)
-
-
-def _orthonormal_fill(k: int, constraints: Sequence[int], start: Sequence[int], target: int) -> list[int]:
-    """Extend the orthonormal vectors ``start`` in GF(2)^k by odd vectors,
-    each orthogonal to the others and to every row of ``constraints``,
-    until no further vector fits.
-
-    Each new vector is the first Gray-code-ordered solution of the stacked
-    system (constraints; vectors so far; all-ones row) x = (0; 0; 1),
-    except that while room remains (two or more vectors still to come) the
-    unique solution that makes the running sum equal ``target`` is
-    skipped: it alone would leave the next system inconsistent.  The
-    solution set is read off once, from one echelon of the constraints,
-    the all-ones row and ``start``; each vector x found then cuts it down
-    by the equation (x, y) = 0, which takes one dimension, and the last
-    vector takes the particular solution.  The reduced solution set is
-    unique, like the reduced echelon form, so this picks the vectors that
-    solving each system afresh would.
-    """
-    part, nulls = _solutions([*constraints, ((1 << k) - 1) | (1 << k), *start], k)
-    found = list(start)
-    n = len(found) + (part is not None) + len(nulls)
-    total = 0
-    for v in found:
-        total ^= v
-    for s in range(len(found), n):
-        if part is None:
-            raise RuntimeError(f"no admissible vector {s + 1} of {n} in GF(2)^{k}")
-        # the first Gray-code member, or the second (nulls holds n - s - 1
-        # vectors) when the first would make the running sum the target
-        x = part if s == n - 1 or total ^ part != target else part ^ nulls[0]
-        found.append(x)
-        part, nulls = _impose(part, nulls, x)
-        total ^= x
-    return found
 
 
 def extend_to_basis(seq: OrthonormalSequence) -> OrthonormalSequence:
@@ -175,9 +134,9 @@ def naimark_complement(theta: BinMatrix) -> BinMatrix:
     # re-checked, against every column v_j of the block (theta | psi):
     # bit j of row i of psi* (theta | psi) is (psi_i, v_j), 1 iff j = n + i
     vecs = _orthonormal_fill(k, (), theta.transpose().data, (1 << k) - 1)
-    psi_star = BinMatrix(k, tuple(vecs[n:]))
+    psi_star = BinMatrix(k, vecs[n:])
     psi = psi_star.transpose()
-    block = BinMatrix(k, tuple(t | p << n for t, p in zip(theta.data, psi.data)))
+    block = BinMatrix(k, (t | p << n for t, p in zip(theta.data, psi.data)))
     if (psi_star @ block).data != tuple(1 << j for j in range(n, k)):
         raise RuntimeError("complement failed its check: the extended basis is not orthonormal")
     return psi

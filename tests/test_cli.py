@@ -57,6 +57,18 @@ def test_check_parseval_no_and_quiet(write, capsys):
     assert out == "parseval: no\n"
 
 
+def test_quiet_drops_the_reason_of_a_no_too(write, capsys):
+    """``--quiet`` drops the ``binframe: no: <reason>`` line on stderr as
+    well as the answer lines: a hollow Gram candidate gives exit 1 and no
+    output at all."""
+    path = write("hollow.txt", "011\n101\n110\n")
+    assert run(["factor", path]) == 1
+    assert capsys.readouterr().err == "binframe: no: not a Gram matrix: all columns even\n"
+    assert run(["factor", path, "--quiet"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "")
+
+
 def test_check_gram_vs_malformed(write, capsys):
     ok = write("j3.txt", "111\n111\n111\n")
     assert run(["check", "gram", ok]) == 0
@@ -1481,35 +1493,44 @@ def test_piped_stdout_keeps_its_buffered_tail(write):
 
 
 @pytest.mark.parametrize(
-    "argv,loads,skips",
+    "argv,loads",
     [
-        (["factor", "j3.txt"], {"gramfactor", "naimark"}, {"catalog"}),
-        (["check", "parseval", "i3.txt"], set(), {"gramfactor", "naimark"}),
-        (["check", "orthogonal", "i3.txt"], set(), {"gramfactor", "naimark"}),
-        (["check", "gram", "j3.txt"], {"gramfactor", "naimark"}, set()),
-        (["enum", "cyclic", "--k", "15"], {"catalog"}, {"gramfactor", "naimark"}),
-        (["enum", "orthogonal", "--k", "4"], {"catalog"}, {"gramfactor", "naimark"}),
-        (["enum", "cyclic", "--k", "15", "--nonrepeating"], {"catalog", "gramfactor", "naimark"}, set()),
+        (["factor", "j3.txt"], {"gramfactor"}),
+        (["check", "parseval", "i3.txt"], set()),
+        (["check", "orthogonal", "i3.txt"], set()),
+        (["check", "gram", "j3.txt"], {"gramfactor"}),
+        (["enum", "cyclic", "--k", "15"], {"catalog"}),
+        (["enum", "orthogonal", "--k", "4"], {"catalog"}),
+        (["enum", "cyclic", "--k", "15", "--nonrepeating"], {"catalog", "gramfactor"}),
+        (["gram", "t42.txt"], set()),
+        (["complement", "t42.txt"], {"naimark"}),
+        (["extend", "i3.txt"], {"naimark"}),
+        (["reconstruct", "i3.txt", "--x", "101"], set()),
+        (["equiv", "perm", "i3.txt", "i3.txt"], set()),
+        (["equiv", "switching", "t42.txt", "t42.txt"], set()),
+        (["canon", "t42.txt"], set()),
     ],
     ids=[
         "factor", "check-parseval", "check-orthogonal", "check-gram", "enum-cyclic", "enum-orthogonal",
-        "enum-nonrepeating",
+        "enum-nonrepeating", "gram", "complement", "extend", "reconstruct", "equiv-perm", "equiv-switching", "canon",
     ],
 )
-def test_job_loads_only_its_own_modules(argv, loads, skips, write, capsys):
-    """A child imports only the modules its command calls: ``factor`` no
-    catalog module, ``check`` the factoring modules only for ``gram``, and
-    ``enum`` them only with ``--nonrepeating``.  ``equiv`` loads for the
+def test_job_loads_only_its_own_modules(argv, loads, write, capsys):
+    """A child imports only the modules its command calls: of ``catalog``,
+    ``gramfactor`` and ``naimark``, ``factor`` and ``check gram`` load
+    ``gramfactor`` alone, ``complement`` and ``extend`` ``naimark`` alone,
+    ``enum`` ``catalog`` and, with ``--nonrepeating``, ``gramfactor``, and
+    every other command none.  ``equiv`` (with ``frames``) loads for the
     ``canon --mode`` choices that parsing needs.  The output is the
     in-process output."""
-    texts = {"i3.txt": "100\n010\n001\n", "j3.txt": "111\n111\n111\n"}
+    texts = {"i3.txt": "100\n010\n001\n", "j3.txt": "111\n111\n111\n", "t42.txt": "11\n11\n10\n01\n"}
     argv = [write(a, texts[a]) if a.endswith(".txt") else a for a in argv]
     proc = _run_child("-X", "importtime", "-m", "binframe.cli", *argv)
     assert run(argv) == proc.returncode == 0
     assert proc.stdout == capsys.readouterr().out != ""
     loaded = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
-    assert {f"binframe.{m}" for m in loads | {"equiv"}} <= loaded
-    assert not {f"binframe.{m}" for m in skips} & loaded
+    assert {f"binframe.{m}" for m in loads | {"equiv", "frames"}} <= loaded
+    assert not {f"binframe.{m}" for m in {"catalog", "gramfactor", "naimark"} - loads} & loaded
 
 
 @pytest.mark.parametrize(
@@ -1524,10 +1545,11 @@ def test_job_loads_only_its_own_modules(argv, loads, skips, write, capsys):
 def test_failed_self_check_of_the_basis_is_an_internal_error(command, text, what, write, capsys, monkeypatch):
     """A corrupted last vector of the orthonormal fill is caught by the
     command's own check and reported with exit 2, not read as a "no".
-    ``gramfactor`` binds the fill at import, so it is patched there too."""
-    from binframe import gramfactor, naimark
+    ``naimark`` and ``gramfactor`` each bind the fill from ``gf2`` at
+    import, so it is patched in both."""
+    from binframe import gf2, gramfactor, naimark
 
-    fill = naimark._orthonormal_fill
+    fill = gf2._orthonormal_fill
 
     def corrupted(*args):
         vecs = fill(*args)

@@ -20,7 +20,7 @@ from binframe import (
     is_parseval,
     naimark_complement,
 )
-from binframe.naimark import _orthonormal_fill
+from binframe.gf2 import _orthonormal_fill
 from oracles import (
     all_orthonormal_sets,
     complement_exists_brute,

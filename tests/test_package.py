@@ -147,6 +147,32 @@ def test_sources_parse_as_python_3_10():
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
 
 
+def test_only_the_fill_and_the_record_base_leave_gf2_privately():
+    """Outside ``gf2`` no module reads the solution-set form of
+    ``_solutions`` and ``_impose``: the private names other modules import
+    from ``gf2`` are ``_Record`` and ``_orthonormal_fill``.  ``gramfactor``
+    gets the fill from ``gf2`` and does not import ``naimark``."""
+    imports = {}  # module -> {(source module, name)}
+    for path in sorted((ROOT / "src" / "binframe").glob("*.py")):
+        pairs = imports[path.stem] = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                pairs.update((node.module.rpartition(".")[2], alias.name) for alias in node.names)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                # import binframe.naimark, from . import naimark
+                pairs.update((alias.name.rpartition(".")[2], None) for alias in node.names)
+    private = {
+        name
+        for module, pairs in imports.items()
+        if module != "gf2"
+        for source, name in pairs
+        if source == "gf2" and name and name.startswith("_")
+    }
+    assert private == {"_Record", "_orthonormal_fill"}
+    assert "naimark" not in {source for source, _ in imports["gramfactor"]}
+    assert ("gf2", "_orthonormal_fill") in imports["gramfactor"] & imports["naimark"]
+
+
 def _bench_tracing():
     spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)

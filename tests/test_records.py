@@ -89,6 +89,28 @@ def test_copy_and_pickle_round_trip(cls, names, values, other):
         assert type(b) is cls and b == a and hash(b) == hash(a)
 
 
+@pytest.mark.parametrize("cls,names,values,other", RECORDS, ids=IDS)
+def test_a_list_field_is_stored_as_a_tuple(cls, names, values, other):
+    """A record built from lists equals, and hashes like, the one built
+    from tuples, and emptying the lists afterwards changes nothing."""
+    lists = [list(v) if isinstance(v, tuple) else v for v in values]
+    a = cls(*lists)
+    for v in lists:
+        if isinstance(v, list):
+            v.clear()
+    assert a == cls(*values) and hash(a) == hash(cls(*values))
+    assert repr(a) == repr(cls(*values))
+
+
+def test_a_matrix_keeps_the_rows_it_checked():
+    """A row written into the source list later, here one wider than the
+    matrix, does not reach it."""
+    rows = [1, 2, 4]
+    m = BinMatrix(3, rows)
+    rows[0] = 8
+    assert m.data == (1, 2, 4) and str(m) == "100\n010\n001"
+
+
 def test_equality_needs_the_exact_class():
     assert Factorization(I2) != GramCandidate(I2)
     assert GramCandidate(I2) != Factorization(I2)
