@@ -7,8 +7,6 @@ vector.  The frame is Parseval exactly when the analysis matrix has
 orthonormal columns, i.e. ``theta* theta = I``.
 """
 
-from collections.abc import Iterable
-
 from .errors import DimensionError, NotSpanningError, ShapeError
 from .gf2 import BinMatrix, BinVector, _Record
 
@@ -34,10 +32,6 @@ class Frame(_Record):
     def __post_init__(self):
         if self.analysis.rank() != self.analysis.cols:
             raise NotSpanningError(f"vectors do not span GF(2)^{self.analysis.cols}")
-
-    @classmethod
-    def from_vectors(cls, vectors: Iterable[BinVector | Iterable[int]]) -> "Frame":
-        return cls(BinMatrix.from_rows(vectors))
 
 
 def is_parseval(theta: BinMatrix) -> bool:

@@ -142,6 +142,8 @@ class BinVector(_Record):
         return ((self.bits >> i) & 1 for i in range(self.n))
 
     def __add__(self, other: "BinVector") -> "BinVector":
+        if not isinstance(other, BinVector):
+            return NotImplemented
         if self.n != other.n:
             raise DimensionError(f"cannot add vectors of dimension {self.n} and {other.n}")
         return BinVector(self.n, self.bits ^ other.bits)
@@ -150,10 +152,6 @@ class BinVector(_Record):
         if self.n != other.n:
             raise DimensionError(f"dot product needs equal dimensions, got {self.n} and {other.n}")
         return (self.bits & other.bits).bit_count() & 1
-
-    def parity(self) -> int:
-        """0 for an even vector, 1 for an odd one."""
-        return self.bits.bit_count() & 1
 
     def to_bitstring(self) -> str:
         """Dense text form, entry 0 leftmost: (1,0,1,1) -> '1011'."""
@@ -235,14 +233,8 @@ class BinMatrix(_Record):
             raise IndexError(ij)
         return (self.data[i] >> j) & 1
 
-    def row(self, i: int) -> BinVector:
-        return BinVector(self.cols, self.data[i])
-
     def row_vectors(self) -> tuple[BinVector, ...]:
         return tuple(BinVector(self.cols, r) for r in self.data)
-
-    def col_vectors(self) -> tuple[BinVector, ...]:
-        return tuple(BinVector(self.rows, c) for c in self.transpose().data)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -250,11 +242,15 @@ class BinMatrix(_Record):
         return BinMatrix(len(self.data), _columns(self.data, self.cols))
 
     def __add__(self, other: "BinMatrix") -> "BinMatrix":
+        if not isinstance(other, BinMatrix):
+            return NotImplemented
         if self.shape != other.shape:
             raise DimensionError(f"cannot add shapes {self.shape} and {other.shape}")
         return BinMatrix(self.cols, (a ^ b for a, b in zip(self.data, other.data)))
 
     def __matmul__(self, other: "BinMatrix") -> "BinMatrix":
+        if not isinstance(other, BinMatrix):
+            return NotImplemented
         if self.cols != other.rows:
             raise DimensionError(
                 f"cannot multiply shapes {self.shape} and {other.shape}"

@@ -211,18 +211,18 @@ def test_inequivalent_by_rank_or_weight():
 
 
 def test_switching_equivalent_reordered_frames():
-    f = Frame.from_vectors([vec(1, 0), vec(1, 1), vec(0, 1)])
-    g = Frame.from_vectors([vec(0, 1), vec(1, 0), vec(1, 1)])
+    f = Frame(BinMatrix.from_rows([vec(1, 0), vec(1, 1), vec(0, 1)]))
+    g = Frame(BinMatrix.from_rows([vec(0, 1), vec(1, 0), vec(1, 1)]))
     assert switching_equivalent(f, g)
-    ones = Frame.from_vectors([vec(1), vec(1), vec(1)])
+    ones = Frame(BinMatrix.from_rows([vec(1), vec(1), vec(1)]))
     assert switching_equivalent(ones, ones)
 
 
 def test_switching_equivalent_shape_mismatch():
-    f = Frame.from_vectors([vec(1, 0), vec(0, 1)])
-    g = Frame.from_vectors([vec(1)])
+    f = Frame(BinMatrix.from_rows([vec(1, 0), vec(0, 1)]))
+    g = Frame(BinMatrix.from_rows([vec(1)]))
     assert not switching_equivalent(f, g)
-    three = Frame.from_vectors([vec(1, 0), vec(0, 1), vec(1, 1)])
+    three = Frame(BinMatrix.from_rows([vec(1, 0), vec(0, 1), vec(1, 1)]))
     assert not switching_equivalent(f, three)
 
 
@@ -257,7 +257,7 @@ def test_switching_equivalent_agrees_with_brute_force():
                 continue
             expected = conjugation_equivalent_brute(gram(f.analysis).data, gram(g.analysis).data)
             assert switching_equivalent(f, g) == expected
-    shuffled = Frame.from_vectors([frames[0].analysis.row_vectors()[i] for i in rng.sample(range(3), 3)])
+    shuffled = Frame(BinMatrix.from_rows([frames[0].analysis.row_vectors()[i] for i in rng.sample(range(3), 3)]))
     assert switching_equivalent(frames[0], shuffled)
 
 
@@ -295,8 +295,8 @@ def test_switching_oracle_agreement_at_k6():
 
     classes = enum_orthogonal(6).classes
     picks = [
-        Frame(BinMatrix.from_cols(classes[1].col_vectors()[:3])),
-        Frame(BinMatrix.from_cols(classes[7].col_vectors()[:3])),
+        Frame(BinMatrix.from_cols(classes[1].transpose().row_vectors()[:3])),
+        Frame(BinMatrix.from_cols(classes[7].transpose().row_vectors()[:3])),
     ]
     for f in picks:
         for g in picks:

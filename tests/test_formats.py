@@ -53,10 +53,10 @@ def test_parse_dense_example():
 
 def test_parse_cols_int_orthogonal_class():
     m = parse_matrix("k=4\n7 11 13 14", "cols-int")
-    assert [c.bits for c in m.col_vectors()] == [7, 11, 13, 14]
+    assert list(m.transpose().data) == [7, 11, 13, 14]
     assert parse_matrix("k=4\n7 11\n\n  \n13 14\n", "cols-int") == m  # blank lines between columns
     single = parse_matrix("k=4\n13", "cols-int")
-    assert single.col_vectors()[0] == BinVector.from_bits([1, 0, 1, 1])
+    assert single.transpose().row_vectors()[0] == BinVector.from_bits([1, 0, 1, 1])
 
 
 def test_parse_json_document():
@@ -252,7 +252,7 @@ def test_cols_int_token_longer_than_k_bits():
         with pytest.raises(ParseError, match="digits is too long") as info:
             parse_matrix(text, "cols-int")
         assert (info.value.line, info.value.column) == where
-    assert parse_matrix("k=4\n15 09\n", "cols-int").col_vectors()[1].bits == 9
+    assert parse_matrix("k=4\n15 09\n", "cols-int").transpose().data[1] == 9
 
 
 def test_cols_int_header_cases():

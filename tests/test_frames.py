@@ -30,30 +30,30 @@ def cols_matrix(k, ints):
 
 
 def test_analysis_of_canonical_basis():
-    f = Frame.from_vectors([vec(1, 0, 0), vec(0, 1, 0), vec(0, 0, 1)])
+    f = Frame(BinMatrix.from_rows([vec(1, 0, 0), vec(0, 1, 0), vec(0, 0, 1)]))
     assert f.analysis == BinMatrix.identity(3)
 
 
 def test_analysis_of_repeated_ones():
-    f = Frame.from_vectors([vec(1), vec(1), vec(1)])
+    f = Frame(BinMatrix.from_rows([vec(1), vec(1), vec(1)]))
     assert f.analysis == BinMatrix.all_ones(3, 1)
 
 
 def test_analysis_rows_in_order():
     rows = [vec(1, 1, 1, 0), vec(1, 1, 0, 1), vec(1, 0, 1, 1), vec(0, 1, 1, 1)]
-    f = Frame.from_vectors(rows)
+    f = Frame(BinMatrix.from_rows(rows))
     theta = f.analysis
     assert theta.row_vectors() == tuple(rows)
 
 
 def test_ragged_vectors_rejected():
     with pytest.raises(DimensionError):
-        Frame.from_vectors([vec(1, 0), vec(1)])
+        Frame(BinMatrix.from_rows([vec(1, 0), vec(1)]))
 
 
 def test_non_spanning_rejected():
     with pytest.raises(NotSpanningError):
-        Frame.from_vectors([vec(1, 0), vec(1, 0)])
+        Frame(BinMatrix.from_rows([vec(1, 0), vec(1, 0)]))
 
 
 def test_is_parseval_examples():
@@ -63,25 +63,25 @@ def test_is_parseval_examples():
 
 
 def test_reconstruct_with_basis_is_identity():
-    f = Frame.from_vectors([vec(1, 0, 0), vec(0, 1, 0), vec(0, 0, 1)])
+    f = Frame(BinMatrix.from_rows([vec(1, 0, 0), vec(0, 1, 0), vec(0, 0, 1)]))
     for x in range(8):
         v = BinVector(3, x)
         assert reconstruct(v, f) == v
 
 
 def test_reconstruct_repeated_ones():
-    f = Frame.from_vectors([vec(1), vec(1), vec(1)])
+    f = Frame(BinMatrix.from_rows([vec(1), vec(1), vec(1)]))
     assert reconstruct(vec(1), f) == vec(1)
 
 
 def test_reconstruct_witnesses_non_parseval():
-    f = Frame.from_vectors([vec(1, 0), vec(1, 1)])
+    f = Frame(BinMatrix.from_rows([vec(1, 0), vec(1, 1)]))
     assert not is_parseval(f.analysis)
     assert reconstruct(vec(0, 1), f) == vec(1, 1)
 
 
 def test_reconstruct_dimension_mismatch():
-    f = Frame.from_vectors([vec(1, 0), vec(0, 1)])
+    f = Frame(BinMatrix.from_rows([vec(1, 0), vec(0, 1)]))
     with pytest.raises(DimensionError):
         reconstruct(vec(1, 0, 1), f)
 

@@ -1,6 +1,7 @@
 """Core GF(2) arithmetic: vectors, matrices, elimination, solution sets."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -61,7 +62,8 @@ def test_dot_dimension_mismatch():
     [((1, 0, 1, 1), 1), ((0, 0, 0, 0), 0), ((1, 1, 0, 0), 0)],
 )
 def test_parity_examples(bits, expected):
-    assert vec(*bits).parity() == expected
+    v = vec(*bits)
+    assert v.dot(v) == expected
 
 
 def test_parity_is_dot_with_all_ones():
@@ -69,14 +71,14 @@ def test_parity_is_dot_with_all_ones():
     for _ in range(50):
         n = rng.randint(1, 40)
         v = BinVector(n, rng.getrandbits(n))
-        assert v.parity() == v.dot(BinVector.ones(n))
+        assert v.dot(v) == v.dot(BinVector.ones(n))
 
 
 @given(st.integers(1, 24), st.data())
 def test_parity_additive(n, data):
     u = BinVector(n, data.draw(st.integers(0, (1 << n) - 1)))
     v = BinVector(n, data.draw(st.integers(0, (1 << n) - 1)))
-    assert (u + v).parity() == u.parity() ^ v.parity()
+    assert (u + v).dot(u + v) == u.dot(u) ^ v.dot(v)
 
 
 def test_vector_self_cancellation():
@@ -130,6 +132,21 @@ def test_mat_mul_dimension_mismatch():
         BinMatrix(3, (0,) * 2) + BinMatrix.identity(3)
     with pytest.raises(DimensionError, match=r"^cannot apply shape \(2, 3\) to dimension 2$"):
         BinMatrix(3, (0,) * 2).mul_vec(vec(1, 0))
+
+
+@pytest.mark.parametrize(
+    "apply,message",
+    [
+        (lambda: BinMatrix.identity(3) @ BinVector(3, 1), "for @: 'BinMatrix' and 'BinVector'"),
+        (lambda: BinMatrix.identity(3) + BinVector(3, 1), "for +: 'BinMatrix' and 'BinVector'"),
+        (lambda: BinVector(3, 1) + BinMatrix.identity(3), "for +: 'BinVector' and 'BinMatrix'"),
+        (lambda: BinVector(3, 1) + 5, "for +: 'BinVector' and 'int'"),
+    ],
+)
+def test_operand_of_another_type_is_a_type_error(apply, message):
+    # mul_vec, not @, applies a matrix to a vector
+    with pytest.raises(TypeError, match=f"^unsupported operand type\\(s\\) {re.escape(message)}$"):
+        apply()
 
 
 def test_rank_examples():
@@ -193,25 +210,22 @@ def test_circulant_and_shift():
 
 def test_circulant_layout():
     c = BinMatrix.circulant(vec(1, 1, 0, 1))
-    assert c.row(0) == vec(1, 1, 0, 1)
-    assert c.row(1) == vec(1, 1, 1, 0)
-    assert c.row(2) == vec(0, 1, 1, 1)
-    assert c.row(3) == vec(1, 0, 1, 1)
+    rows = c.row_vectors()
+    assert rows == (vec(1, 1, 0, 1), vec(1, 1, 1, 0), vec(0, 1, 1, 1), vec(1, 0, 1, 1))
     assert [c[1, j] for j in range(4)] == [1, 1, 1, 0]
-    assert (c.row(2)[0], c.row(2)[3], str(c.row(2))) == (0, 1, "0111")
+    assert (rows[2][0], rows[2][3], str(rows[2])) == (0, 1, "0111")
     for i, j in ((4, 0), (0, 4), (-1, 0)):
         with pytest.raises(IndexError):
             c[i, j]
     for i in (4, -1):
         with pytest.raises(IndexError):
-            c.row(0)[i]
+            rows[0][i]
 
 
 def test_from_cols_matches_col_accessor():
     rng = random.Random(23)
     a = rand_matrix(rng, 6, 4)
-    rebuilt = BinMatrix.from_cols([a.col_vectors()[j] for j in range(4)])
-    assert rebuilt == a
+    assert BinMatrix.from_cols(a.transpose().row_vectors()) == a
 
 
 # -- linear solve -----------------------------------------------------------

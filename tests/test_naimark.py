@@ -94,7 +94,7 @@ def test_extend_empty_gives_canonical_basis():
 
 def test_extend_preserves_prefix_and_invariants():
     theta = cols_matrix(4, [7, 11])
-    start = OrthonormalSequence(4, theta.col_vectors())
+    start = OrthonormalSequence(4, theta.transpose().row_vectors())
     ext = extend_to_basis(start)
     assert ext.vecs[:2] == start.vecs
     assert len(ext) == 4
@@ -214,7 +214,7 @@ def test_complement_postconditions():
     assert psi.shape == (4, 2)
     assert is_parseval(psi)
     assert gram(theta) + gram(psi) == BinMatrix.identity(4)
-    block = BinMatrix.from_cols(theta.col_vectors() + psi.col_vectors())
+    block = BinMatrix.from_cols(theta.transpose().row_vectors() + psi.transpose().row_vectors())
     assert is_orthogonal(block)
 
 
@@ -247,7 +247,7 @@ def test_complement_matches_per_step_reference_on_random_frames():
             continue
         psi = naimark_complement(theta)
         assert psi.shape == (k, k - n)
-        assert [c.bits for c in psi.col_vectors()] == reference_extend_to_basis(cols, k)[n:]
+        assert list(psi.transpose().data) == reference_extend_to_basis(cols, k)[n:]
         checked += 1
     assert checked >= 80
 
@@ -387,7 +387,7 @@ def test_complement_and_extension_match_incremental_reference_at_k1024():
             break
     cols = list(matrix_rows_of_columns(tuple(theta_rows), n))
     psi = naimark_complement(BinMatrix(n, tuple(theta_rows)))
-    assert [c.bits for c in psi.col_vectors()] == reference_incremental_fill(k, [], cols, k, ones)[n:]
+    assert list(psi.transpose().data) == reference_incremental_fill(k, [], cols, k, ones)[n:]
     prefix = cols[: n // 2]
     seq = OrthonormalSequence(k, tuple(BinVector(k, v) for v in prefix))
     ext = extend_to_basis(seq)

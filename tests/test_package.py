@@ -147,6 +147,38 @@ def test_sources_parse_as_python_3_10():
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
 
 
+def test_package_and_pyproject_versions_agree():
+    # a regex, not tomllib, which is new in Python 3.11
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.findall(r'^version = "(.*)"$', pyproject, re.M) == [binframe.__version__]
+
+
+def test_every_import_in_src_is_read():
+    """Every name a ``src/`` module imports is read somewhere in that
+    module, as a name in its code or inside a string annotation."""
+    unused = []
+    for path in sorted((ROOT / "src" / "binframe").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            alias.asname or alias.name.partition(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        annotations = [node.annotation for node in ast.walk(tree) if isinstance(node, (ast.arg, ast.AnnAssign))]
+        annotations += [node.returns for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        strings = [
+            ast.parse(node.value, mode="eval")
+            for annotation in annotations
+            if annotation
+            for node in ast.walk(annotation)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        ]
+        read = {node.id for root in (tree, *strings) for node in ast.walk(root) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in sorted(imported - read)]
+    assert unused == []
+
+
 def test_only_the_fill_and_the_record_base_leave_gf2_privately():
     """Outside ``gf2`` no module reads the solution-set form of
     ``_solutions`` and ``_impose``: the private names other modules import

@@ -159,8 +159,8 @@ def test_repr_examples():
         (lambda: BinVector.from_bits([0, 2]), ValueError, "entries must be 0 or 1, got 2"),
         (lambda: BinMatrix.all_ones(0, 3), DimensionError, "shape (0, 3) must be positive"),
         (lambda: BinMatrix.from_cols([BinVector(3, 1), BinVector(3, 2), BinVector(2, 1)]), DimensionError, "vector 2 has dimension 2, expected 3"),
-        (lambda: Frame.from_vectors(()), DimensionError, "at least one vector is needed"),
-        (lambda: Frame.from_vectors((BinVector(2, 1), BinVector(3, 1))), DimensionError, "vector 1 has dimension 3, expected 2"),
+        (lambda: BinMatrix.from_rows(()), DimensionError, "at least one vector is needed"),
+        (lambda: BinMatrix.from_rows((BinVector(2, 1), BinVector(3, 1))), DimensionError, "vector 1 has dimension 3, expected 2"),
         (lambda: Frame(BinMatrix(2, (1, 1))), NotSpanningError, "vectors do not span GF(2)^2"),
         (lambda: OrthonormalSequence(0, ()), DimensionError, "ambient dimension must be positive, got 0"),
         (lambda: OrthonormalSequence(2, (BinVector(3, 1),)), DimensionError, "vector 0 has dimension 3, expected 2"),
