@@ -31,14 +31,14 @@ class _Record:
     """Base of the immutable records.  The fields are the subclass's
     ``__slots__``; ``__init__`` binds positional, then keyword arguments
     to them (``TypeError`` for a missing, unexpected or repeated field),
-    sets each once, a list as a tuple, and then calls ``__post_init__``,
-    where a subclass puts its checks.  ``BinVector`` and ``BinMatrix``
-    keep constructors of their own, since they are built by the thousand
-    in the catalog and construct loops and the binder costs ~0.7 us per
-    call.  Equality needs the exact class and equal fields, the hash is
-    that of the fields, and the repr reads ``Name(field=value, ...)``.
-    Copy and pickle rebuild through ``__init__``, so they repeat the
-    checks."""
+    sets each once, a list or an iterator as a tuple, then calls
+    ``__post_init__``, where a subclass puts its checks.  ``BinVector``
+    and ``BinMatrix`` keep constructors of their own, since they are built
+    by the thousand in the catalog and construct loops and the binder
+    costs ~0.7 us per call.  Equality needs the exact class and equal
+    fields, the hash is that of the fields, and the repr reads
+    ``Name(field=value, ...)``.  Copy and pickle rebuild through
+    ``__init__``, so they repeat the checks."""
 
     __slots__ = ()
 
@@ -51,7 +51,8 @@ class _Record:
         if kwargs or len(args) != len(names):
             args = self._bind(args, kwargs)
         for name, value in zip(names, args):
-            object.__setattr__(self, name, tuple(value) if isinstance(value, list) else value)
+            as_tuple = isinstance(value, list) or hasattr(value, "__next__")
+            object.__setattr__(self, name, tuple(value) if as_tuple else value)
         self.__post_init__()
 
     def _bind(self, args, kwargs):

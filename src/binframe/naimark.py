@@ -3,14 +3,13 @@
 An orthonormal sequence in GF(2)^k extends to an orthonormal basis exactly
 when its vector sum differs from the all-ones vector; the extension is
 built by ``gf2._orthonormal_fill``, the construction that also factors
-Gram matrices (``gramfactor``).  A Parseval frame has a complementary
-Parseval frame exactly when at least one frame vector is even, and the
-complement falls out of extending the analysis matrix's columns to an
-orthonormal basis.
+Gram matrices (``gramfactor``).  A Parseval frame's Naimark complement is
+the extension of its analysis matrix's orthonormal columns, the new vectors
+being the complement's columns, so it exists exactly when the columns' sum
+is not all-ones, that is, when some frame vector is even.
 """
 
 from .errors import DimensionError, ExtensionObstruction, InvalidInput
-from .frames import is_parseval
 from .gf2 import BinMatrix, BinVector, _orthonormal_fill, _Record
 
 __all__ = [
@@ -97,20 +96,28 @@ def extend_to_basis(seq: OrthonormalSequence) -> OrthonormalSequence:
         raise RuntimeError(f"extension failed its check: {e}") from e
 
 
+def _parseval_columns(theta: BinMatrix) -> OrthonormalSequence:
+    """Theta's columns, refused unless orthonormal (Parseval) and fewer than k."""
+    k = theta.rows
+    try:
+        seq = OrthonormalSequence(k, theta.transpose().row_vectors())
+    except InvalidInput:
+        raise InvalidInput("matrix is not the analysis matrix of a Parseval frame") from None
+    if len(seq) >= k:
+        raise InvalidInput(f"a ({k},{k})-frame leaves no room for a complement")
+    return seq
+
+
 def has_naimark_complement(theta: BinMatrix) -> bool:
     """Whether a Parseval analysis matrix has a complementary one.
 
-    True iff some row (frame vector) is even, equivalently iff
-    ``theta @ ones != ones``.  Parsevality is validated rather than
-    assumed; a square theta leaves no room for a complement and is
-    rejected.
+    True iff theta's columns extend to an orthonormal basis, that is, iff
+    their sum, ``theta.mul_vec`` of the all-ones vector, is not all-ones,
+    equivalently iff some row (frame vector) is even.  Parsevality is
+    validated rather than assumed; a square theta leaves no room for a
+    complement and is rejected.
     """
-    if not is_parseval(theta):
-        raise InvalidInput("matrix is not the analysis matrix of a Parseval frame")
-    k, n = theta.shape
-    if n >= k:
-        raise InvalidInput(f"a ({k},{k})-frame leaves no room for a complement")
-    return theta.mul_vec(BinVector.ones(n)) != BinVector.ones(k)
+    return is_extendable(_parseval_columns(theta))
 
 
 def naimark_complement(theta: BinMatrix) -> BinMatrix:
@@ -118,25 +125,13 @@ def naimark_complement(theta: BinMatrix) -> BinMatrix:
 
     The columns of theta are extended to an orthonormal basis of GF(2)^k
     and the new vectors become the columns of psi, making the block
-    (theta | psi) orthogonal.  Only a verified psi is returned: the
-    extension is re-checked to be orthonormal, and a square matrix with
-    orthonormal columns is orthogonal, so gram(theta) + gram(psi) = I.
-    Raises ExtensionObstruction when every frame vector is odd.
+    (theta | psi) orthogonal, so gram(theta) + gram(psi) = I.  Only a
+    verified psi is returned: ``extend_to_basis`` re-checks the whole
+    basis.  Raises ExtensionObstruction when every frame vector is odd.
     """
-    k, n = theta.shape
-    if not has_naimark_complement(theta):
-        # the check has just found theta @ ones == ones
-        raise ExtensionObstruction(
-            "every frame vector is odd; no complement exists", witness=BinVector.ones(k)
-        )
-    # is_parseval has found the columns orthonormal, and an even frame
-    # vector keeps their sum off all-ones, so only the new vectors are
-    # re-checked, against every column v_j of the block (theta | psi):
-    # bit j of row i of psi* (theta | psi) is (psi_i, v_j), 1 iff j = n + i
-    vecs = _orthonormal_fill(k, (), theta.transpose().data, (1 << k) - 1)
-    psi_star = BinMatrix(k, vecs[n:])
-    psi = psi_star.transpose()
-    block = BinMatrix(k, (t | p << n for t, p in zip(theta.data, psi.data)))
-    if (psi_star @ block).data != tuple(1 << j for j in range(n, k)):
-        raise RuntimeError("complement failed its check: the extended basis is not orthonormal")
-    return psi
+    seq = _parseval_columns(theta)
+    try:
+        basis = extend_to_basis(seq)
+    except ExtensionObstruction as e:
+        raise ExtensionObstruction("every frame vector is odd; no complement exists", witness=e.witness) from None
+    return BinMatrix.from_cols(basis.vecs[len(seq) :])

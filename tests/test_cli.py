@@ -198,6 +198,16 @@ def test_complement_of_non_parseval_matrix(write, capsys):
     assert captured.err == "binframe: no: matrix is not the analysis matrix of a Parseval frame\n"
 
 
+def test_complement_of_wide_matrix_is_not_parseval(write, capsys):
+    """The first two columns of this 2 x 3 matrix are orthonormal; the
+    third, for which GF(2)^2 has no room, makes it not Parseval, since
+    the Parseval check is made before the room check."""
+    assert run(["complement", write("m.txt", "101\n011\n")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "binframe: no: matrix is not the analysis matrix of a Parseval frame\n"
+
+
 def test_matrix_json_documents_keep_their_key_order(write, capsys):
     """factor, complement and canon write the matrix document first, then
     their extra fields."""
@@ -1536,7 +1546,7 @@ def test_job_loads_only_its_own_modules(argv, loads, write, capsys):
 @pytest.mark.parametrize(
     "command,text,what",
     [
-        ("complement", "11\n11\n10\n01\n", "complement"),
+        ("complement", "11\n11\n10\n01\n", "extension"),
         ("extend", "1110000\n0001000\n", "extension"),
         ("factor", "100\n010\n001\n", "factorization"),
     ],

@@ -185,11 +185,33 @@ def test_has_complement_matches_row_parity_form():
     assert has_naimark_complement(theta) == even_row == (column_sum != BinVector.ones(4))
 
 
-def test_has_complement_validates_input():
-    with pytest.raises(InvalidInput):
-        has_naimark_complement(BinMatrix.all_ones(2, 1))
-    with pytest.raises(InvalidInput):
-        has_naimark_complement(BinMatrix.identity(3))
+NOT_PARSEVAL = "matrix is not the analysis matrix of a Parseval frame"
+
+
+@pytest.mark.parametrize(
+    "theta,error,message",
+    [
+        (BinMatrix.all_ones(2, 1), InvalidInput, NOT_PARSEVAL),
+        (BinMatrix(3, [5, 6]), InvalidInput, NOT_PARSEVAL),
+        (BinMatrix.identity(3), InvalidInput, "a (3,3)-frame leaves no room for a complement"),
+        (BinMatrix.all_ones(3, 1), ExtensionObstruction, "every frame vector is odd; no complement exists"),
+    ],
+    ids=["not-parseval", "wide", "square", "all-odd"],
+)
+@pytest.mark.parametrize("fn", [has_naimark_complement, naimark_complement], ids=["has", "complement"])
+def test_has_complement_validates_input(fn, theta, error, message):
+    """The Parseval check comes before the room check, so a k x n theta
+    with n > k is refused as not Parseval; an all-odd theta has no
+    complement, which the predicate answers and the construction raises
+    with the all-ones witness."""
+    if fn is has_naimark_complement and error is ExtensionObstruction:
+        assert has_naimark_complement(theta) is False
+        return
+    with pytest.raises(error) as err:
+        fn(theta)
+    assert str(err.value) == message
+    if error is ExtensionObstruction:
+        assert err.value.witness == BinVector.ones(3)
 
 
 def test_complement_of_identity_columns():

@@ -102,6 +102,15 @@ def test_a_list_field_is_stored_as_a_tuple(cls, names, values, other):
     assert repr(a) == repr(cls(*values))
 
 
+@pytest.mark.parametrize("cls,names,values,other", RECORDS, ids=IDS)
+def test_an_iterator_field_is_stored_as_a_tuple(cls, names, values, other):
+    """A record built from iterators equals the one built from tuples:
+    the checks in ``__post_init__`` do not use them up first."""
+    a = cls(*[iter(v) if isinstance(v, tuple) else v for v in values])
+    assert a == cls(*values) and hash(a) == hash(cls(*values))
+    assert repr(a) == repr(cls(*values))
+
+
 def test_a_matrix_keeps_the_rows_it_checked():
     """A row written into the source list later, here one wider than the
     matrix, does not reach it."""
