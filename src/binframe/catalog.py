@@ -31,16 +31,17 @@ ORTHOGONAL_MAX_K = 6
 # Each rank is a gcd of degree-k polynomials on packed ints, costing up
 # to about k^2, so a cyclic catalog is refused when entries x k^2 exceeds
 # this, and so is every k above its square root, 92681.  The slowest
-# admitted catalog, k = 257, takes 1.1 s (Python 3.11.7, one core of a
-# 2-vCPU Xeon host whose speed swings by ~40%: 0.9-1.5 s, median of 5).
+# admitted catalog, k = 257, takes 0.76 s (Python 3.11.7, one core of a
+# 2-vCPU Xeon host whose speed swings by up to 2x; the median of five
+# batch medians of 5 runs, which ranged 0.72-1.52 s).
 # No k <= 256 has more than 2^16 entries, so no admitted catalog has
 # more either.
 CYCLIC_MAX_WORK = 2**33
 # Factoring one entry costs up to about k^3; the repetition-free catalog
 # is refused when entries to factor x k^3 exceeds this (k = 127, just
-# under it, takes 2.1 s on the same host: 1.4-2.2 s, median of 5; k = 129,
-# the first size refused, took 4.0 s with the cap lifted: 3.6-4.5 s,
-# median of 5).
+# under it, takes 1.16 s on the same host, batches 1.08-2.14 s; k = 129,
+# the first size refused, took 2.37 s with the cap lifted, batches
+# 2.26-2.95 s; measured as above).
 NONREPEATING_MAX_WORK = 2**30
 
 
@@ -51,18 +52,12 @@ class OrthogonalCatalog(_Record):
 
     __slots__ = ("k", "classes")
 
-    def column_sets(self) -> list[tuple[int, ...]]:
-        return [m.transpose().data for m in self.classes]
-
 
 class CirculantGram(_Record):
     """A circulant symmetric idempotent matrix with all columns odd,
     identified by its first row."""
 
     __slots__ = ("k", "first_row", "rank")
-
-    def matrix(self) -> BinMatrix:
-        return BinMatrix.circulant(self.first_row)
 
 
 class NonRepeatingPair(_Record):
@@ -199,5 +194,5 @@ def enum_nonrepeating(k: int) -> list[NonRepeatingPair]:
     pairs = []
     for c in rows:
         cg = _circulant_gram(k, c)
-        pairs.append(NonRepeatingPair(cg, factor_gram(GramCandidate(cg.matrix())).theta))
+        pairs.append(NonRepeatingPair(cg, factor_gram(GramCandidate(BinMatrix.circulant(cg.first_row))).theta))
     return pairs

@@ -267,14 +267,14 @@ def _cmd_enum(args):
             raise _UsageError("--nonrepeating applies to `enum cyclic` only")
         catalog = enum_orthogonal(args.k)
 
-        def line(m, cols):
+        def line(m):
             if fmt == "cols-int":
-                return " ".join(map(str, cols)) + "\n"
+                return " ".join(map(str, m.transpose().data)) + "\n"
             if fmt == "json":
-                return json_line({"k": args.k, "columns": list(cols)})
+                return json_line({"k": args.k, "columns": list(m.transpose().data)})
             return render_matrix(m, "dense") + "\n"
 
-        return 0, map(line, catalog.classes, catalog.column_sets())
+        return 0, map(line, catalog.classes)
     if args.nonrepeating:
 
         def line(pair):

@@ -150,6 +150,8 @@ class BinVector(_Record):
         return BinVector(self.n, self.bits ^ other.bits)
 
     def dot(self, other: "BinVector") -> int:
+        if not isinstance(other, BinVector):
+            raise TypeError(f"dot needs a BinVector, got {type(other).__name__}")
         if self.n != other.n:
             raise DimensionError(f"dot product needs equal dimensions, got {self.n} and {other.n}")
         return (self.bits & other.bits).bit_count() & 1
@@ -192,10 +194,6 @@ class BinMatrix(_Record):
             if v.n != n:
                 raise DimensionError(f"vector {i} has dimension {v.n}, expected {n}")
         return cls(n, (v.bits for v in vecs))
-
-    @classmethod
-    def from_cols(cls, columns: Iterable[BinVector | Iterable[int]]) -> "BinMatrix":
-        return cls.from_rows(columns).transpose()
 
     @classmethod
     def identity(cls, n: int) -> "BinMatrix":
@@ -270,6 +268,8 @@ class BinMatrix(_Record):
         return BinMatrix(other.cols, out)
 
     def mul_vec(self, v: BinVector) -> BinVector:
+        if not isinstance(v, BinVector):
+            raise TypeError(f"mul_vec needs a BinVector, got {type(v).__name__}")
         if self.cols != v.n:
             raise DimensionError(f"cannot apply shape {self.shape} to dimension {v.n}")
         bits = 0
@@ -312,10 +312,6 @@ class AffineSolutionSet(_Record):
     """
 
     __slots__ = ("n", "particular", "nullbasis")
-
-    @property
-    def is_consistent(self) -> bool:
-        return self.particular is not None
 
     def __len__(self) -> int:
         return 0 if self.particular is None else 1 << len(self.nullbasis)

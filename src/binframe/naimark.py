@@ -134,4 +134,4 @@ def naimark_complement(theta: BinMatrix) -> BinMatrix:
         basis = extend_to_basis(seq)
     except ExtensionObstruction as e:
         raise ExtensionObstruction("every frame vector is odd; no complement exists", witness=e.witness) from None
-    return BinMatrix.from_cols(basis.vecs[len(seq) :])
+    return BinMatrix.from_rows(basis.vecs[len(seq) :]).transpose()

@@ -77,15 +77,15 @@ def test_criterion_1_orthogonal_catalog():
         for k, rows in reference.items():
             catalog = enum_orthogonal(k)
             assert len(catalog.classes) == len(rows)
-            emitted = catalog.column_sets()
+            emitted = [m.transpose().data for m in catalog.classes]
             assert emitted == rows
             for ref_cols in rows:
                 orbit_hits = [
                     rep for rep in emitted if ref_cols in sorted_relabel_orbit(rep, k)
                 ]
                 assert len(orbit_hits) == 1
-                ref_matrix = BinMatrix.from_cols([BinVector(k, c) for c in ref_cols])
-                rep_matrix = BinMatrix.from_cols([BinVector(k, c) for c in orbit_hits[0]])
+                ref_matrix = BinMatrix.from_rows([BinVector(k, c) for c in ref_cols]).transpose()
+                rep_matrix = BinMatrix.from_rows([BinVector(k, c) for c in orbit_hits[0]]).transpose()
                 assert (
                     canonical_form(ref_matrix).matrix == canonical_form(rep_matrix).matrix
                 )
@@ -144,7 +144,7 @@ def test_criterion_3_nonrepeating_catalog():
         ]
         for pair in emitted:
             k, n = pair.gram.k, pair.gram.rank
-            c = pair.gram.matrix()
+            c = BinMatrix.circulant(pair.gram.first_row)
             theta = pair.theta
             assert theta.transpose() @ theta == BinMatrix.identity(n)
             assert theta @ theta.transpose() == c
@@ -162,7 +162,7 @@ def test_criterion_3_nonrepeating_catalog():
             ref_lines = (DATA / "nonrepeating" / f"k{k:02d}_n{n}.txt").read_text().splitlines()
             assert ref_lines[0] == row
             printed = parse_matrix("\n".join(ref_lines[1:]), "dense")
-            c = matches[0].gram.matrix()
+            c = BinMatrix.circulant(matches[0].gram.first_row)
             assert printed.shape == (k, n)
             assert printed.transpose() @ printed == BinMatrix.identity(n)
             assert printed @ printed.transpose() == c
@@ -216,7 +216,7 @@ def test_criterion_4_complement_oracle_equivalence():
         for k in (2, 3, 4):
             for n in range(1, k):
                 for cols in all_orthonormal_tuples(k, n):
-                    theta = BinMatrix.from_cols([BinVector(k, c) for c in cols])
+                    theta = BinMatrix.from_rows([BinVector(k, c) for c in cols]).transpose()
                     assert is_parseval(theta)
                     if has_naimark_complement(theta) != complement_exists_brute(cols, k):
                         disagreements += 1
@@ -268,10 +268,10 @@ def _random_parseval(rng):
             break
     basis = extend_to_basis(OrthonormalSequence(k, (BinVector(k, bits),))).vecs
     picked = rng.sample(range(k), n)
-    theta = BinMatrix.from_cols([basis[i] for i in picked])
+    theta = BinMatrix.from_rows([basis[i] for i in picked]).transpose()
     if rng.random() < 0.5:
         rest = [basis[i] for i in range(k) if i not in set(picked)]
-        other = BinMatrix.from_cols(rest)
+        other = BinMatrix.from_rows(rest).transpose()
         if has_naimark_complement(other):
             theta = naimark_complement(other)
     return theta
@@ -322,7 +322,7 @@ def test_criterion_8_cyclic_frames_lack_complements():
         exceptions = 0
         for k in range(3, 21):
             for cg in enum_cyclic_gram(k):
-                theta = factor_gram(GramCandidate(cg.matrix())).theta
+                theta = factor_gram(GramCandidate(BinMatrix.circulant(cg.first_row))).theta
                 if cg.rank < k:
                     if has_naimark_complement(theta):
                         exceptions += 1

@@ -60,7 +60,7 @@ def test_orthogonal_counts():
 def test_orthogonal_matches_reference_table():
     reference = read_reference_classes()
     for k, rows in reference.items():
-        assert enum_orthogonal(k).column_sets() == rows
+        assert [m.transpose().data for m in enum_orthogonal(k).classes] == rows
 
 
 def test_orthogonal_entries_are_orthogonal_with_ascending_columns():
@@ -128,7 +128,7 @@ def test_orthogonal_classes_match_brute_force_orbits():
                 orbit = sorted_relabel_orbit(cols, k)
                 seen |= orbit
                 reps.append(max(orbit))
-        assert enum_orthogonal(k).column_sets() == sorted(reps)
+        assert [m.transpose().data for m in enum_orthogonal(k).classes] == sorted(reps)
 
 
 # -- circulant Gram catalog ---------------------------------------------------
@@ -152,7 +152,7 @@ def test_cyclic_entry_invariants():
     for k in range(3, 21):
         s = BinMatrix.circulant(BinVector.basis(k, k - 1))
         for cg in enum_cyclic_gram(k):
-            c = cg.matrix()
+            c = BinMatrix.circulant(cg.first_row)
             assert c.is_symmetric()
             assert c @ c == c
             assert s @ c @ s.transpose() == c
@@ -186,7 +186,7 @@ def test_cyclic_catalog_matches_scan():
         catalog = enum_cyclic_gram(k)
         assert [(cg.first_row.bits, cg.rank) for cg in catalog] == scan_cyclic_grams(k)
         for cg in catalog:
-            matrix = cg.matrix()
+            matrix = BinMatrix.circulant(cg.first_row)
             assert cg.rank == matrix.rank()
             assert _aperiodic(cg.first_row.bits, k) == (len(set(matrix.data)) == k)
 
@@ -289,7 +289,7 @@ def test_nonrepeating_prime_and_even_sizes():
 def test_nonrepeating_pair_invariants():
     for k in range(3, 21):
         for pair in enum_nonrepeating(k):
-            c = pair.gram.matrix()
+            c = BinMatrix.circulant(pair.gram.first_row)
             theta = pair.theta
             assert theta.shape == (k, pair.gram.rank)
             assert is_parseval(theta)
@@ -305,8 +305,8 @@ def test_nonrepeating_rows_distinct_iff_gram_rows_distinct():
                 continue
             from binframe import GramCandidate, factor_gram
 
-            theta = factor_gram(GramCandidate(cg.matrix())).theta
-            gram_distinct = len(set(cg.matrix().data)) == k
+            theta = factor_gram(GramCandidate(BinMatrix.circulant(cg.first_row))).theta
+            gram_distinct = len(set(BinMatrix.circulant(cg.first_row).data)) == k
             frame_distinct = len(set(theta.data)) == k
             assert gram_distinct == frame_distinct
 
@@ -327,13 +327,13 @@ def test_cyclic_frames_have_no_complement():
         for cg in enum_cyclic_gram(k):
             from binframe import GramCandidate, factor_gram
 
-            theta = factor_gram(GramCandidate(cg.matrix())).theta
+            theta = factor_gram(GramCandidate(BinMatrix.circulant(cg.first_row))).theta
             if cg.rank == k:
                 with pytest.raises(InvalidInput):
                     has_naimark_complement(theta)
             else:
                 assert not has_naimark_complement(theta)
-            flipped = cg.matrix() + BinMatrix.identity(k)
+            flipped = BinMatrix.circulant(cg.first_row) + BinMatrix.identity(k)
             assert odd_columns(flipped) == []
 
 

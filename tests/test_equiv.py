@@ -34,7 +34,7 @@ def vec(*bits):
 
 
 def cols_matrix(k, ints):
-    return BinMatrix.from_cols([BinVector(k, c) for c in ints])
+    return BinMatrix.from_rows([BinVector(k, c) for c in ints]).transpose()
 
 
 def test_certificate_reproduces_canonical_matrix():
@@ -81,7 +81,7 @@ def _structured_squares(k):
     for _ in range(1, k):
         power = power @ BinMatrix.circulant(BinVector.basis(k, k - 1))
         out.append(power.data)
-    return out + [cg.matrix().data for cg in enum_cyclic_gram(k)]
+    return out + [BinMatrix.circulant(cg.first_row).data for cg in enum_cyclic_gram(k)]
 
 
 def test_canonical_form_matches_brute_force():
@@ -237,8 +237,8 @@ def test_full_width_orthogonal_frames_share_identity_gram():
 
 def test_single_column_selections_can_differ():
     # one column from each k=4 catalog class: distinct Gram conjugation orbits
-    f = Frame(BinMatrix.from_cols([BinVector(4, 1)]))
-    g = Frame(BinMatrix.from_cols([BinVector(4, 7)]))
+    f = Frame(BinMatrix.from_rows([BinVector(4, 1)]).transpose())
+    g = Frame(BinMatrix.from_rows([BinVector(4, 7)]).transpose())
     assert not switching_equivalent(f, g)
     assert not conjugation_equivalent_brute(gram(f.analysis).data, gram(g.analysis).data)
 
@@ -248,7 +248,7 @@ def test_switching_equivalent_agrees_with_brute_force():
     frames = []
     for ints in ([1, 2, 4], [7, 11, 13], [1, 6], [7, 11], [3, 5, 6]):
         k = max(v.bit_length() for v in ints)
-        m = BinMatrix.from_cols([BinVector(k, v) for v in ints])
+        m = BinMatrix.from_rows([BinVector(k, v) for v in ints]).transpose()
         if m.rank() == m.cols:
             frames.append(Frame(m))
     for f in frames:
@@ -295,8 +295,8 @@ def test_switching_oracle_agreement_at_k6():
 
     classes = enum_orthogonal(6).classes
     picks = [
-        Frame(BinMatrix.from_cols(classes[1].transpose().row_vectors()[:3])),
-        Frame(BinMatrix.from_cols(classes[7].transpose().row_vectors()[:3])),
+        Frame(BinMatrix.from_rows(classes[1].transpose().row_vectors()[:3]).transpose()),
+        Frame(BinMatrix.from_rows(classes[7].transpose().row_vectors()[:3]).transpose()),
     ]
     for f in picks:
         for g in picks:
@@ -314,7 +314,7 @@ def test_switching_classes_agree_on_complement_existence():
         for n in range(1, k):
             by_class = {}
             for cols in all_orthonormal_sets(k, n):
-                theta = BinMatrix.from_cols([BinVector(k, c) for c in cols])
+                theta = BinMatrix.from_rows([BinVector(k, c) for c in cols]).transpose()
                 key = canonical_form(gram(theta), MODE_CONJUGATION).matrix.data
                 by_class.setdefault(key, set()).add(has_naimark_complement(theta))
             for answers in by_class.values():

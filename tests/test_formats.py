@@ -233,7 +233,7 @@ def test_cols_int_round_trip_at_the_limit():
     reads and writes back; a matrix of one more row is not written (its
     header is refused in test_cols_int_header_limit)."""
     k = COLS_INT_MAX_K
-    m = BinMatrix.from_cols([BinVector.ones(k), BinVector(k, 1 << (k - 1))])
+    m = BinMatrix.from_rows([BinVector.ones(k), BinVector(k, 1 << (k - 1))]).transpose()
     text = render_matrix(m, "cols-int")
     assert parse_matrix(text, "cols-int") == m
     assert len(text.split()[1]) == 4300

@@ -26,7 +26,7 @@ def vec(*bits):
 
 
 def cols_matrix(k, ints):
-    return BinMatrix.from_cols([BinVector(k, c) for c in ints])
+    return BinMatrix.from_rows([BinVector(k, c) for c in ints]).transpose()
 
 
 def test_analysis_of_canonical_basis():
@@ -110,7 +110,7 @@ def parseval_samples():
     yield cols_matrix(4, [7, 11])
     yield cols_matrix(4, [7, 11, 13, 14])
     yield BinMatrix.all_ones(3, 1)
-    yield BinMatrix.from_cols([BinVector(5, 4), BinVector(5, 11), BinVector(5, 19)])
+    yield BinMatrix.from_rows([BinVector(5, 4), BinVector(5, 11), BinVector(5, 19)]).transpose()
     yield BinMatrix.identity(6)
 
 

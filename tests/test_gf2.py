@@ -91,9 +91,8 @@ def test_zero_dimension_rejected():
         BinVector(0, 0)
     with pytest.raises(DimensionError):
         BinMatrix(0, (0,))
-    for build in (BinMatrix.from_rows, BinMatrix.from_cols):
-        with pytest.raises(DimensionError, match="^at least one vector is needed$"):
-            build([])
+    with pytest.raises(DimensionError, match="^at least one vector is needed$"):
+        BinMatrix.from_rows([])
 
 
 def test_stray_bits_rejected():
@@ -146,6 +145,20 @@ def test_mat_mul_dimension_mismatch():
 def test_operand_of_another_type_is_a_type_error(apply, message):
     # mul_vec, not @, applies a matrix to a vector
     with pytest.raises(TypeError, match=f"^unsupported operand type\\(s\\) {re.escape(message)}$"):
+        apply()
+
+
+@pytest.mark.parametrize(
+    "apply,message",
+    [
+        (lambda: BinVector(3, 1).dot(3), "dot needs a BinVector, got int"),
+        (lambda: BinVector(3, 1).dot(BinMatrix.identity(3)), "dot needs a BinVector, got BinMatrix"),
+        (lambda: BinMatrix.identity(3).mul_vec(BinMatrix.identity(3)), "mul_vec needs a BinVector, got BinMatrix"),
+        (lambda: BinMatrix.identity(3).mul_vec(7), "mul_vec needs a BinVector, got int"),
+    ],
+)
+def test_dot_and_mul_vec_need_a_vector(apply, message):
+    with pytest.raises(TypeError, match=f"^{message}$"):
         apply()
 
 
@@ -225,7 +238,7 @@ def test_circulant_layout():
 def test_from_cols_matches_col_accessor():
     rng = random.Random(23)
     a = rand_matrix(rng, 6, 4)
-    assert BinMatrix.from_cols(a.transpose().row_vectors()) == a
+    assert BinMatrix.from_rows(a.transpose().row_vectors()).transpose() == a
 
 
 # -- linear solve -----------------------------------------------------------
@@ -234,7 +247,7 @@ def test_from_cols_matches_col_accessor():
 def test_solve_identity():
     b = vec(1, 0, 1)
     sols = solve(BinMatrix.identity(3), b)
-    assert sols.is_consistent
+    assert sols.particular is not None
     assert list(sols) == [b]
     assert sols.nullbasis == ()
 
@@ -251,7 +264,7 @@ def test_solve_inconsistent():
     # the all-ones row cannot be both 0 and 1
     a = BinMatrix.from_rows([vec(1, 1, 1), vec(1, 1, 1)])
     sols = solve(a, vec(0, 1))
-    assert not sols.is_consistent
+    assert sols.particular is None
     assert len(sols) == 0
     assert list(sols) == []
 
@@ -276,7 +289,7 @@ def test_solve_exhaustive_cross_check():
         members = [s.bits for s in sols]
         assert len(members) == len(set(members))
         assert set(members) == brute
-        if sols.is_consistent:
+        if sols.particular is not None:
             assert len(sols) == 1 << (cols - a.rank())
 
 
@@ -293,7 +306,7 @@ def test_solution_iteration_is_gray_coded():
 
 def test_affine_set_is_plain_data():
     s = AffineSolutionSet(3, BinVector(3, 1), (BinVector(3, 6),))
-    assert s.is_consistent
+    assert s.particular is not None
     assert len(s) == 2
 
 
@@ -330,7 +343,7 @@ def test_solve_and_rank_match_gauss_jordan(system):
     sols = solve(a, b)
     assert a.rank() == rank
     if particular is None:
-        assert not sols.is_consistent
+        assert sols.particular is None
         assert sols.nullbasis == ()
     else:
         assert sols.particular == BinVector(a.cols, particular)

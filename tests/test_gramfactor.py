@@ -124,7 +124,7 @@ def test_factor_round_trip_over_catalog_selections():
             cols = u.transpose().row_vectors()
             for n in range(1, k + 1):
                 for pick in itertools.combinations(range(k), n):
-                    theta = BinMatrix.from_cols([cols[i] for i in pick])
+                    theta = BinMatrix.from_rows([cols[i] for i in pick]).transpose()
                     g = gram(theta)
                     out = factor_gram(GramCandidate(g)).theta
                     assert gram(out) == g
@@ -166,10 +166,10 @@ def test_factor_sampled_circulants():
     rng = random.Random(31)
     for k in rng.sample(range(6, 21), 6):
         for cg in enum_cyclic_gram(k):
-            theta = factor_gram(GramCandidate(cg.matrix())).theta
+            theta = factor_gram(GramCandidate(BinMatrix.circulant(cg.first_row))).theta
             assert theta.cols == cg.rank
             assert is_parseval(theta)
-            assert gram(theta) == cg.matrix()
+            assert gram(theta) == BinMatrix.circulant(cg.first_row)
 
 
 @pytest.mark.parametrize("inner", [3, 5, 7])
@@ -204,7 +204,7 @@ def test_factor_random_large_parseval_grams():
             continue
         basis = extend_to_basis(OrthonormalSequence(k, (V(k, bits),))).vecs
         n = rng.randint(1, k)
-        theta = BinMatrix.from_cols(list(basis[:n]))
+        theta = BinMatrix.from_rows(list(basis[:n])).transpose()
         g = gram(theta)
         out = factor_gram(GramCandidate(g)).theta
         assert gram(out) == g
@@ -221,7 +221,7 @@ def test_factor_matches_per_step_reference_on_cyclic_grams():
     the construction that re-solves the stacked system at every step."""
     for k in range(1, 29):
         for cg in enum_cyclic_gram(k):
-            m = cg.matrix()
+            m = BinMatrix.circulant(cg.first_row)
             assert _theta_cols(m) == reference_factor_gram(m.data, k), cg.first_row
 
 

@@ -39,7 +39,7 @@ def vec(*bits):
 
 
 def cols_matrix(k, ints):
-    return BinMatrix.from_cols([BinVector(k, c) for c in ints])
+    return BinMatrix.from_rows([BinVector(k, c) for c in ints]).transpose()
 
 
 def seq(k, *vectors):
@@ -173,7 +173,7 @@ def test_extend_matches_per_step_reference_on_random_prefixes():
 
 def test_has_complement_examples():
     assert not has_naimark_complement(BinMatrix.all_ones(3, 1))
-    first_two = BinMatrix.from_cols([BinVector(4, 1), BinVector(4, 2)])
+    first_two = BinMatrix.from_rows([BinVector(4, 1), BinVector(4, 2)]).transpose()
     assert has_naimark_complement(first_two)
     assert has_naimark_complement(cols_matrix(4, [7, 11]))
 
@@ -215,18 +215,18 @@ def test_has_complement_validates_input(fn, theta, error, message):
 
 
 def test_complement_of_identity_columns():
-    theta = BinMatrix.from_cols([BinVector(3, 1)])
+    theta = BinMatrix.from_rows([BinVector(3, 1)]).transpose()
     psi = naimark_complement(theta)
-    assert psi == BinMatrix.from_cols([BinVector(3, 2), BinVector(3, 4)])
-    wide = BinMatrix.from_cols([BinVector(5, 1), BinVector(5, 2)])
+    assert psi == BinMatrix.from_rows([BinVector(3, 2), BinVector(3, 4)]).transpose()
+    wide = BinMatrix.from_rows([BinVector(5, 1), BinVector(5, 2)]).transpose()
     rest = naimark_complement(wide)
-    assert rest == BinMatrix.from_cols([BinVector(5, 4), BinVector(5, 8), BinVector(5, 16)])
+    assert rest == BinMatrix.from_rows([BinVector(5, 4), BinVector(5, 8), BinVector(5, 16)]).transpose()
 
 
 def test_complement_of_single_projection():
-    theta = BinMatrix.from_cols([BinVector(2, 1)])
+    theta = BinMatrix.from_rows([BinVector(2, 1)]).transpose()
     psi = naimark_complement(theta)
-    assert psi == BinMatrix.from_cols([BinVector(2, 2)])
+    assert psi == BinMatrix.from_rows([BinVector(2, 2)]).transpose()
     assert gram(theta) + gram(psi) == BinMatrix.identity(2)
 
 
@@ -236,7 +236,7 @@ def test_complement_postconditions():
     assert psi.shape == (4, 2)
     assert is_parseval(psi)
     assert gram(theta) + gram(psi) == BinMatrix.identity(4)
-    block = BinMatrix.from_cols(theta.transpose().row_vectors() + psi.transpose().row_vectors())
+    block = BinMatrix.from_rows(theta.transpose().row_vectors() + psi.transpose().row_vectors()).transpose()
     assert is_orthogonal(block)
 
 

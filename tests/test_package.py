@@ -106,6 +106,22 @@ def test_every_annotation_resolves():
     assert len(functions) > 100 and unresolved == []
 
 
+def test_removed_spellings_stay_removed():
+    """Every method or attribute that README's version paragraphs list as
+    removed is absent from its class."""
+    removed = {
+        gf2.BinVector: ("__xor__", "parity"),
+        gf2.BinMatrix: ("entry", "row", "col_vectors", "from_cols"),
+        gf2.AffineSolutionSet: ("is_consistent",),
+        gramfactor.Factorization: ("k", "n"),
+        frames.Frame: ("k", "n", "vectors", "synthesis", "from_vectors"),
+        catalog.CirculantGram: ("matrix",),
+        catalog.OrthogonalCatalog: ("column_sets",),
+    }
+    present = [f"{cls.__name__}.{name}" for cls, names in removed.items() for name in names if hasattr(cls, name)]
+    assert present == []
+
+
 def test_each_module_lists_its_public_names():
     for module, names in PUBLIC.items():
         assert sorted(module.__all__) == sorted(names), module.__name__

@@ -167,7 +167,7 @@ def test_repr_examples():
         (lambda: BinVector.basis(3, 3), DimensionError, "basis index 3 out of range for dimension 3"),
         (lambda: BinVector.from_bits([0, 2]), ValueError, "entries must be 0 or 1, got 2"),
         (lambda: BinMatrix.all_ones(0, 3), DimensionError, "shape (0, 3) must be positive"),
-        (lambda: BinMatrix.from_cols([BinVector(3, 1), BinVector(3, 2), BinVector(2, 1)]), DimensionError, "vector 2 has dimension 2, expected 3"),
+        (lambda: BinMatrix.from_rows([BinVector(3, 1), BinVector(3, 2), BinVector(2, 1)]).transpose(), DimensionError, "vector 2 has dimension 2, expected 3"),
         (lambda: BinMatrix.from_rows(()), DimensionError, "at least one vector is needed"),
         (lambda: BinMatrix.from_rows((BinVector(2, 1), BinVector(3, 1))), DimensionError, "vector 1 has dimension 3, expected 2"),
         (lambda: Frame(BinMatrix(2, (1, 1))), NotSpanningError, "vectors do not span GF(2)^2"),
